@@ -6,7 +6,9 @@
 #      worker processes plus one injected, retried worker failure
 #      (--rollout_workers=3 --inject_fail=1:1) produces byte-identical
 #      stores: same keys (= content-address fingerprints), same .model
-#      bytes, same .spec bytes.
+#      bytes, same .spec bytes. The DQN and REINFORCE ablation arms
+#      (abl-rl-dqn, abl-rl-reinforce) at a tiny budget do the same,
+#      sequential vs --rollout_workers=2.
 #   2. The injected failure and its retry show up in the supervisor log,
 #      and the rollout scratch directory is cleaned up on success
 #      (kept under --keep_work, holding the worker obs sidecars).
@@ -153,6 +155,35 @@ foreach(arm w1 w3)
   endif()
   compare_store_payload("${arm} store payload vs sequential"
                         "${WORK_DIR}/store_seq" "${WORK_DIR}/store_${arm}")
+endforeach()
+
+# ---- 1b. the DQN and REINFORCE arms over the same transport ----------
+# collect-rollouts must reproduce each algorithm's collection
+# environment (DQN: epsilon-greedy at the epoch's decayed rate;
+# REINFORCE: softmax sampling) from the spec name alone.
+foreach(arm dqn reinforce)
+  set(budget --spec=abl-rl-${arm} --epochs=2 --trajectories=3
+             --traj_jobs=64 --jobs=800 --quiet)
+  run_or_fail("${arm} sequential train" train ${budget}
+              --store=store_${arm}_seq)
+  run_or_fail("${arm} 2 rollout workers" train ${budget}
+              --store=store_${arm}_w2 --rollout_workers=2)
+  store_signature(${arm}_seq_sig "${WORK_DIR}/store_${arm}_seq")
+  store_signature(${arm}_w2_sig "${WORK_DIR}/store_${arm}_w2")
+  list(LENGTH ${arm}_seq_sig ${arm}_n)
+  if(${arm}_n EQUAL 0)
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "${arm} sequential store is empty — nothing was proven")
+  elseif("${${arm}_seq_sig}" STREQUAL "${${arm}_w2_sig}")
+    message(STATUS "${arm} w2 keys+fingerprints == sequential: ok")
+  else()
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "${arm} store keys differ:\nseq: ${${arm}_seq_sig}\n"
+                    "w2: ${${arm}_w2_sig}")
+  endif()
+  compare_store_payload("${arm} w2 store payload vs sequential"
+                        "${WORK_DIR}/store_${arm}_seq"
+                        "${WORK_DIR}/store_${arm}_w2")
 endforeach()
 
 # ---- 2. scratch lifecycle and worker observability sidecars ----------
