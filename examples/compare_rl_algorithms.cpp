@@ -4,11 +4,11 @@
 // bench/ablation_rl_algorithm.
 //
 //   ./compare_rl_algorithms [n_jobs] [epochs]
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
-#include "core/alt_trainers.h"
 #include "core/rl_backfill.h"
 #include "core/trainer.h"
 #include "sched/scheduler.h"
@@ -41,52 +41,40 @@ int main(int argc, char** argv) {
         .metrics.avg_bounded_slowdown;
   };
 
-  {
-    std::cout << "--- PPO (the paper's algorithm) ---\n";
-    core::TrainerConfig cfg;
-    cfg.epochs = epochs;
-    cfg.trajectories_per_epoch = 40;
-    cfg.ppo.train_iters = 40;
-    cfg.ppo.minibatch_size = 512;
-    cfg.eval_every = 1;
+  // One trainer for all three: only the algorithm name and its
+  // hyperparameter block differ between the arms.
+  core::TrainerConfig base;
+  base.epochs = epochs;
+  base.trajectories_per_epoch = 40;
+  base.eval_every = 1;
+  base.ppo.train_iters = 40;
+  base.ppo.minibatch_size = 512;
+  base.dqn.epsilon_decay_epochs = std::max<std::size_t>(epochs / 2, 1);
+  base.reinforce.policy_lr = 3e-3;
+  const struct {
+    const char* title;
+    const char* algorithm;
+  } arms[] = {
+      {"PPO (the paper's algorithm)", "ppo"},
+      {"Double-DQN (the paper's rejected alternative)", "dqn"},
+      {"REINFORCE (the classic policy gradient)", "reinforce"},
+  };
+  for (const auto& arm : arms) {
+    std::cout << "--- " << arm.title << " ---\n";
+    core::TrainerConfig cfg = base;
+    cfg.algorithm = arm.algorithm;
     core::Trainer trainer(trace, cfg);
-    trainer.train([](const core::EpochStats& s) {
+    trainer.train([&](const core::EpochStats& s) {
       std::cout << "  epoch " << s.epoch << ": reward " << std::setprecision(3)
-                << s.mean_reward << ", greedy eval bsld " << std::setprecision(2)
-                << s.eval_bsld << "\n";
-    });
-    std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n\n";
-  }
-  {
-    std::cout << "--- Double-DQN (the paper's rejected alternative) ---\n";
-    core::DqnTrainerConfig cfg;
-    cfg.epochs = epochs;
-    cfg.trajectories_per_epoch = 40;
-    cfg.dqn.epsilon_decay_epochs = std::max<std::size_t>(epochs / 2, 1);
-    cfg.eval_every = 1;
-    core::DqnTrainer trainer(trace, cfg);
-    trainer.train([](const core::AltEpochStats& s) {
-      std::cout << "  epoch " << s.epoch << ": epsilon " << std::setprecision(2)
-                << s.epsilon << ", TD loss " << std::setprecision(4) << s.loss
-                << ", greedy eval bsld " << std::setprecision(2) << s.eval_bsld
+                << s.mean_reward;
+      if (cfg.algorithm == "dqn") {
+        std::cout << ", epsilon " << std::setprecision(2) << s.epsilon
+                  << ", TD loss " << std::setprecision(4) << s.dqn.loss;
+      }
+      std::cout << ", greedy eval bsld " << std::setprecision(2) << s.eval_bsld
                 << "\n";
     });
     std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n\n";
-  }
-  {
-    std::cout << "--- REINFORCE (the classic policy gradient) ---\n";
-    core::ReinforceTrainerConfig cfg;
-    cfg.epochs = epochs;
-    cfg.trajectories_per_epoch = 40;
-    cfg.reinforce.policy_lr = 3e-3;
-    cfg.eval_every = 1;
-    core::ReinforceTrainer trainer(trace, cfg);
-    trainer.train([](const core::AltEpochStats& s) {
-      std::cout << "  epoch " << s.epoch << ": policy loss " << std::setprecision(4)
-                << s.loss << ", greedy eval bsld " << std::setprecision(2)
-                << s.eval_bsld << "\n";
-    });
-    std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n";
   }
   return 0;
 }

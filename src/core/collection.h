@@ -1,7 +1,6 @@
-// The one sequence-production body behind every trainer (PPO, DQN,
-// REINFORCE), extracted from the formerly-duplicated epoch loops in
-// core::Trainer and core::alt_trainers and driven through the
-// rl::Collector transport seam.
+// The one sequence-production body behind core::Trainer's epochs (every
+// algorithm: PPO, DQN, REINFORCE) and the collect-rollouts worker,
+// driven through the rl::Collector transport seam.
 //
 // Per sequence: sample `jobs_per_trajectory` consecutive jobs from the
 // training trace, simulate the reward baseline on them (FCFS base +

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/collection.h"
+#include "core/learner.h"
 #include "core/rl_backfill.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,13 +33,14 @@ Trainer::Trainer(swf::Trace trace, const TrainerConfig& config)
     : Trainer(std::move(trace), config, Agent(reconcile_masking(config), config.seed)) {}
 
 Trainer::Trainer(swf::Trace trace, const TrainerConfig& config, const Agent& initial)
-    : trace_(std::move(trace)),
+    : algorithm_(find_algorithm(config.algorithm)),
+      trace_(std::move(trace)),
       config_(config),
       agent_(initial.clone()),
       policy_(sched::make_policy(config.base_policy)),
       pool_(config.threads),
-      ppo_(agent_.model(), config.ppo, &pool_),
-      rng_(config.seed ^ 0x7261696e65722dull) {
+      learner_(algorithm_.make_learner(agent_.model(), config_, pool_)),
+      rng_(config.seed ^ algorithm_.rng_salt) {
   if (trace_.size() < config_.jobs_per_trajectory) {
     throw std::invalid_argument("trainer: trace shorter than one trajectory");
   }
@@ -47,47 +49,47 @@ Trainer::Trainer(swf::Trace trace, const TrainerConfig& config, const Agent& ini
   }
 }
 
+Trainer::~Trainer() = default;
+
 EpochStats Trainer::run_epoch() {
   obs::Span span("train_epoch", "train");
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t n_traj = config_.trajectories_per_epoch;
+  EpochStats stats;
+  stats.epoch = ++epoch_;
+  stats.epsilon = learner_->epsilon(stats.epoch);
 
   // Pre-draw the per-trajectory seeds on the main thread so the epoch is
   // deterministic regardless of worker interleaving — or, with a process
   // transport, regardless of which worker serves which sequence.
   rl::CollectionPlan plan;
-  plan.epoch = epoch_ + 1;
-  plan.seeds.resize(n_traj);
+  plan.epoch = stats.epoch;
+  plan.epsilon = stats.epsilon;
+  plan.seeds.resize(config_.trajectories_per_epoch);
   for (auto& s : plan.seeds) s = rng_();
 
   CollectionContext ctx;
   ctx.trace = &trace_;
   ctx.policy = policy_.get();
   ctx.estimator = &estimator_;
-  ctx.env = config_.env;
+  ctx.env = algorithm_.collection_env(config_.env, stats.epsilon);
   ctx.jobs_per_trajectory = config_.jobs_per_trajectory;
   std::vector<rl::SequenceResult> results =
       collect_sequences(*collector_, plan, ctx, agent_);
 
-  rl::RolloutBuffer buffer;
-  EpochStats stats;
-  stats.epoch = ++epoch_;
   double sum_bsld = 0.0, sum_base = 0.0, sum_reward = 0.0;
   for (auto& r : results) {
     sum_bsld += r.bsld;
     sum_base += r.baseline_bsld;
     sum_reward += r.episode.total_reward();
     stats.steps += r.episode.steps.size();
-    if (!r.episode.steps.empty()) buffer.add_episode(std::move(r.episode));
+    if (!r.episode.steps.empty()) learner_->absorb(std::move(r.episode));
   }
-  const auto n = static_cast<double>(n_traj);
+  const auto n = static_cast<double>(results.size());
   stats.mean_bsld = sum_bsld / n;
   stats.mean_baseline_bsld = sum_base / n;
   stats.mean_reward = sum_reward / n;
 
-  if (buffer.episode_count() > 0) {
-    stats.ppo = ppo_.update(buffer, rng_);
-  }
+  learner_->update(rng_, stats);
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (obs::enabled()) {
@@ -116,11 +118,7 @@ double Trainer::evaluate_greedy() {
 void Trainer::record_epoch_series(const EpochStats& s) const {
   if (series_ == nullptr) return;
   const auto step = static_cast<std::int64_t>(s.epoch);
-  series_->record("train.policy_loss", step, s.ppo.policy_loss);
-  series_->record("train.value_loss", step, s.ppo.value_loss);
-  series_->record("train.entropy", step, s.ppo.entropy);
-  series_->record("train.grad_norm", step, s.ppo.grad_norm);
-  series_->record("train.approx_kl", step, s.ppo.approx_kl);
+  learner_->record_series(*series_, step, s);
   series_->record("train.mean_reward", step, s.mean_reward);
   series_->record("train.mean_bsld", step, s.mean_bsld);
   series_->record("train.baseline_bsld", step, s.mean_baseline_bsld);
@@ -148,16 +146,16 @@ std::vector<EpochStats> Trainer::train(
         best_model_ = agent_.model().clone();
       }
     }
-    util::log_info("epoch ", s.epoch, " reward=", s.mean_reward,
+    util::log_info(algorithm_.name, " epoch ", s.epoch, " reward=", s.mean_reward,
                    " bsld=", s.mean_bsld, " baseline=", s.mean_baseline_bsld,
-                   " steps=", s.steps, " kl=", s.ppo.approx_kl,
-                   " eval=", s.eval_bsld, " wall=", s.wall_seconds, "s");
+                   " steps=", s.steps, " eval=", s.eval_bsld,
+                   " wall=", s.wall_seconds, "s");
     record_epoch_series(s);
     if (on_epoch) on_epoch(s);
   }
   if (config_.keep_best && best_model_ != nullptr) {
     agent_.model().sync_from(*best_model_);
-    util::log_info("restored best checkpoint (greedy eval bsld=", best_eval_bsld_, ")");
+    util::log_info(algorithm_.name, ": restored best checkpoint (greedy eval bsld=", best_eval_bsld_, ")");
   }
   return history;
 }

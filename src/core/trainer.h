@@ -2,8 +2,11 @@
 // `trajectories_per_epoch` random sequences of `jobs_per_trajectory`
 // consecutive jobs from the training trace, schedule each with the base
 // policy + the sampling TrainingEnv (collected in parallel across a
-// thread pool with per-worker model replicas), then run one PPO update
-// (80 policy/value iterations, lr 1e-3 by default).
+// thread pool with per-worker model replicas), then run one learner
+// update — PPO by default (80 policy/value iterations, lr 1e-3), or the
+// DQN / REINFORCE ablation arms behind the same loop (core/learner.h),
+// so every algorithm sees identical data collection, reward shaping,
+// and greedy-evaluation checkpointing.
 //
 // The reward baseline for every sequence — FCFS + SJF-ordered EASY
 // backfilling — is simulated once per sequence inside the worker.
@@ -19,18 +22,29 @@
 #include "core/backfill_env.h"
 #include "obs/series.h"
 #include "rl/collect.h"
+#include "rl/dqn.h"
 #include "rl/ppo.h"
+#include "rl/reinforce.h"
 #include "sched/scheduler.h"
 #include "util/thread_pool.h"
 
 namespace rlbf::core {
 
+class Learner;
+struct Algorithm;
+
 struct TrainerConfig {
+  /// "ppo" (the paper's algorithm) | "dqn" | "reinforce" (core/learner.h).
+  std::string algorithm = "ppo";
   std::string base_policy = "FCFS";
   std::size_t epochs = 50;
   std::size_t trajectories_per_epoch = 100;  // paper: 100
   std::size_t jobs_per_trajectory = 256;     // paper: 256
   rl::PpoConfig ppo;                         // paper: 80 iters, lr 1e-3
+  /// Hyperparameters of the non-PPO arms, each read only under its own
+  /// algorithm.
+  rl::DqnConfig dqn;
+  rl::ReinforceConfig reinforce;
   EnvConfig env;
   AgentConfig agent;
   std::uint64_t seed = 1;
@@ -54,7 +68,12 @@ struct EpochStats {
   double mean_bsld = 0.0;          // mean agent bsld across trajectories
   double mean_baseline_bsld = 0.0; // mean SJF-backfill baseline bsld
   std::size_t steps = 0;           // decisions collected
+  /// The epoch's update; only the running algorithm's block is filled.
   rl::PpoStats ppo;
+  rl::DqnStats dqn;
+  rl::ReinforceStats reinforce;
+  /// Exploration rate this epoch (DQN); NaN for the other algorithms.
+  double epsilon = std::numeric_limits<double>::quiet_NaN();
   double wall_seconds = 0.0;
   /// Greedy held-out evaluation bsld; NaN on non-evaluation epochs.
   double eval_bsld = std::numeric_limits<double>::quiet_NaN();
@@ -62,13 +81,16 @@ struct EpochStats {
 
 class Trainer {
  public:
-  /// `trace` is copied; training samples windows from it.
+  /// `trace` is copied; training samples windows from it. Throws
+  /// std::invalid_argument on an unknown algorithm or a degenerate
+  /// config.
   Trainer(swf::Trace trace, const TrainerConfig& config);
   /// Warm start: fine-tune a copy of `initial` — e.g. a model trained on
   /// another trace (the Table-5 transfer setting) — instead of a fresh
   /// agent. The initial agent's observation/network configuration takes
   /// precedence over config.agent, which is ignored.
   Trainer(swf::Trace trace, const TrainerConfig& config, const Agent& initial);
+  ~Trainer();
 
   /// Collect one epoch of trajectories and update the agent.
   EpochStats run_epoch();
@@ -106,6 +128,7 @@ class Trainer {
   /// Record one epoch's train.* points into series_ (no-op when null).
   void record_epoch_series(const EpochStats& s) const;
 
+  const Algorithm& algorithm_;
   swf::Trace trace_;
   TrainerConfig config_;
   Agent agent_;
@@ -114,7 +137,7 @@ class Trainer {
   util::ThreadPool pool_;
   rl::ThreadCollector thread_collector_{pool_};
   rl::Collector* collector_ = &thread_collector_;
-  rl::Ppo ppo_;
+  std::unique_ptr<Learner> learner_;
   util::Rng rng_;
   std::size_t epoch_ = 0;
   double best_eval_bsld_ = std::numeric_limits<double>::infinity();

@@ -46,7 +46,9 @@ struct RolloutTransportOptions {
   /// observability sidecars.
   std::string work_dir;
   /// Worker process count (clamped to the sequence count per epoch).
-  std::size_t workers = 1;
+  /// A ProcessCollector needs >= 1; the default 0 is how
+  /// model::TrainOptions says "collect in-process".
+  std::size_t workers = 0;
   /// Retries per failed worker job (total attempts = retries + 1).
   std::size_t retries = 1;
   /// Per-attempt wall-clock cap in seconds (0 = no limit).

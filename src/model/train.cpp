@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/alt_trainers.h"
+#include "core/trainer.h"
 #include "dist/rollout.h"
 #include "exp/config.h"
 #include "obs/metrics.h"
@@ -22,108 +22,52 @@ namespace rlbf::model {
 
 namespace {
 
-TrainProgress from_stats(const core::EpochStats& s) {
-  TrainProgress p;
-  p.epoch = s.epoch;
-  p.mean_reward = s.mean_reward;
-  p.mean_bsld = s.mean_bsld;
-  p.mean_baseline_bsld = s.mean_baseline_bsld;
-  p.steps = s.steps;
-  p.eval_bsld = s.eval_bsld;
-  p.wall_seconds = s.wall_seconds;
-  return p;
+/// The agent a registered spec name `name` denotes in `store`: the entry
+/// under the spec's registered fingerprint, else the UNIQUE entry
+/// trained under that name (CLI budget overrides change a spec's content
+/// address but keep its name). Ambiguity is an error — "which model?"
+/// must never be guessed. `who` names the reference in log lines and
+/// errors ("agent reference", "training spec 'x': warm-start
+/// reference").
+core::Agent load_by_spec_name(const std::string& name, const Store& store,
+                              const std::string& who) {
+  const std::string key = fingerprint(find_training_spec(name));
+  if (store.contains(key)) return store.load(key);
+  std::vector<StoreEntry> named;
+  for (const StoreEntry& entry : store.list()) {
+    if (entry.name == name) named.push_back(entry);
+  }
+  if (named.size() == 1) {
+    util::log_info(who, " '", name, "': registered fingerprint ", key,
+                   " absent; using the unique same-name store entry ",
+                   named[0].key);
+    return core::Agent::load(named[0].path);
+  }
+  if (named.size() > 1) {
+    std::string keys;
+    for (const auto& entry : named) {
+      keys += (keys.empty() ? "" : ", ") + entry.key;
+    }
+    throw std::runtime_error(
+        who + " '" + name + "' is ambiguous: store '" + store.root() +
+        "' holds " + std::to_string(named.size()) +
+        " entries trained under that spec name (" + keys +
+        ") — reference one key directly");
+  }
+  throw std::runtime_error(
+      who + " '" + name + "': the agent for training spec '" + name +
+      "' (key " + key + ") is not in model store '" + store.root() +
+      "' — train it first: rlbf_run train --spec=" + name);
 }
-
-TrainProgress from_stats(const core::AltEpochStats& s) {
-  TrainProgress p;
-  p.epoch = s.epoch;
-  p.mean_reward = s.mean_reward;
-  p.mean_bsld = s.mean_bsld;
-  p.mean_baseline_bsld = s.mean_baseline_bsld;
-  p.steps = s.steps;
-  p.eval_bsld = s.eval_bsld;
-  p.wall_seconds = s.wall_seconds;
-  return p;
-}
-
-core::DqnTrainerConfig to_dqn(const core::TrainerConfig& t, const rl::DqnConfig& dqn) {
-  core::DqnTrainerConfig c;
-  c.dqn = dqn;
-  c.base_policy = t.base_policy;
-  c.epochs = t.epochs;
-  c.trajectories_per_epoch = t.trajectories_per_epoch;
-  c.jobs_per_trajectory = t.jobs_per_trajectory;
-  c.env = t.env;
-  c.agent = t.agent;
-  c.seed = t.seed;
-  c.threads = t.threads;
-  c.eval_every = t.eval_every;
-  c.eval_samples = t.eval_samples;
-  c.eval_sample_jobs = t.eval_sample_jobs;
-  c.keep_best = t.keep_best;
-  return c;
-}
-
-core::ReinforceTrainerConfig to_reinforce(const core::TrainerConfig& t,
-                                          const rl::ReinforceConfig& reinforce) {
-  core::ReinforceTrainerConfig c;
-  c.reinforce = reinforce;
-  c.base_policy = t.base_policy;
-  c.epochs = t.epochs;
-  c.trajectories_per_epoch = t.trajectories_per_epoch;
-  c.jobs_per_trajectory = t.jobs_per_trajectory;
-  c.env = t.env;
-  c.agent = t.agent;
-  c.seed = t.seed;
-  c.threads = t.threads;
-  c.eval_every = t.eval_every;
-  c.eval_samples = t.eval_samples;
-  c.eval_sample_jobs = t.eval_sample_jobs;
-  c.keep_best = t.keep_best;
-  return c;
-}
-
-}  // namespace
-
-namespace {
 
 /// Resolve a warm-start (init_agent) reference against `store`: a
-/// registered spec name (via its fingerprint), a raw store key, or a
-/// model file path. Throws naming the missing prerequisite.
+/// registered spec name, a raw store key, or a model file path. Throws
+/// naming the missing prerequisite.
 core::Agent load_init_agent(const std::string& ref, const Store& store,
                             const std::string& spec_name) {
   if (TrainingRegistry::instance().contains(ref)) {
-    const std::string key = fingerprint(find_training_spec(ref));
-    if (store.contains(key)) return store.load(key);
-    // The registered spec's exact fingerprint is absent — fall back to a
-    // UNIQUE entry trained under this spec name, mirroring resolve_agent:
-    // CLI budget overrides (`rlbf_run train --ablations --epochs=...`)
-    // change the source's content address but still record its name.
-    std::vector<StoreEntry> named;
-    for (const StoreEntry& entry : store.list()) {
-      if (entry.name == ref) named.push_back(entry);
-    }
-    if (named.size() == 1) {
-      util::log_info("warm start '", ref, "': registered fingerprint ", key,
-                     " absent; using the unique same-name store entry ",
-                     named[0].key);
-      return core::Agent::load(named[0].path);
-    }
-    if (named.size() > 1) {
-      std::string keys;
-      for (const auto& entry : named) {
-        keys += (keys.empty() ? "" : ", ") + entry.key;
-      }
-      throw std::runtime_error(
-          "training spec '" + spec_name + "': warm-start reference '" + ref +
-          "' is ambiguous: store '" + store.root() + "' holds " +
-          std::to_string(named.size()) + " entries trained under that name (" +
-          keys + ") — reference one key directly");
-    }
-    throw std::runtime_error(
-        "training spec '" + spec_name + "': warm-start agent for spec '" + ref +
-        "' (key " + key + ") is not in model store '" + store.root() +
-        "' — train it first: rlbf_run train --spec=" + ref);
+    return load_by_spec_name(
+        ref, store, "training spec '" + spec_name + "': warm-start reference");
   }
   if (store.contains(ref)) return store.load(ref);
   std::error_code ec;
@@ -131,6 +75,20 @@ core::Agent load_init_agent(const std::string& ref, const Store& store,
   throw std::runtime_error("training spec '" + spec_name +
                            "': cannot resolve warm-start agent '" + ref +
                            "' (not a spec name, store key, or model file)");
+}
+
+/// The committed entry under `key` as a cache-hit outcome; nullopt when
+/// absent or when options.force asks for retraining.
+std::optional<TrainOutcome> cache_hit(const Store& store, const std::string& key,
+                                      const TrainOptions& options) {
+  if (options.force) return std::nullopt;
+  std::optional<StoreEntry> entry = store.lookup(key);
+  if (!entry) return std::nullopt;
+  if (obs::enabled()) obs::counter("model.train_cache_hits").add(1);
+  TrainOutcome outcome;
+  outcome.entry = std::move(*entry);
+  outcome.cache_hit = true;
+  return outcome;
 }
 
 /// The worker-side flags that reconstruct `spec`'s training setup in a
@@ -168,9 +126,8 @@ std::vector<std::string> rollout_worker_args(const TrainingSpec& spec,
       "--seed=" + std::to_string(spec.trainer.seed),
       "--jobs=" + std::to_string(spec.workload.trace_jobs),
       "--traj_jobs=" + std::to_string(spec.trainer.jobs_per_trajectory)};
-  if (options.rollout.worker_threads != 0) {
-    args.push_back("--threads=" +
-                   std::to_string(options.rollout.worker_threads));
+  if (options.worker_threads != 0) {
+    args.push_back("--threads=" + std::to_string(options.worker_threads));
   }
   return args;
 }
@@ -192,47 +149,38 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   // before the trainer so malformed transport options fail fast.
   std::unique_ptr<dist::ProcessCollector> collector;
   if (options.rollout.workers > 0) {
-    dist::RolloutTransportOptions transport;
-    transport.worker = options.rollout.worker_binary;
+    dist::RolloutTransportOptions transport = options.rollout;
     transport.worker_args = rollout_worker_args(spec, options);
-    transport.work_dir = options.rollout.work_dir;
-    transport.workers = options.rollout.workers;
-    transport.retries = options.rollout.retries;
-    transport.timeout_seconds = options.rollout.timeout_seconds;
-    transport.inject_failures = options.rollout.inject_failures;
-    transport.worker_metrics = options.rollout.worker_metrics;
-    transport.worker_trace = options.rollout.worker_trace;
-    transport.worker_series = options.rollout.worker_series;
-    transport.heartbeat_seconds = options.rollout.heartbeat_seconds;
-    transport.on_heartbeat = options.rollout.on_heartbeat;
-    transport.hosts = options.rollout.hosts;
-    transport.command_template = options.rollout.command_template;
-    transport.fetch_template = options.rollout.fetch_template;
-    transport.on_event = options.rollout.on_event;
     collector = std::make_unique<dist::ProcessCollector>(std::move(transport));
   }
-  // Installs the transport on a trainer: workers load the learner's
-  // live agent from a per-epoch checkpoint (exact-text model format, so
-  // the round-trip is bit-exact).
-  const auto attach_collector = [&](auto& trainer) {
-    // The series recorder rides along with the transport seam: both are
-    // pure observers the trainers consult per epoch.
-    trainer.set_series(options.series);
-    if (!collector) return;
-    trainer.set_collector(collector.get());
-    collector->set_save_model(
-        [&agent = trainer.agent(), &spec](const std::string& path) {
-          if (!agent.save(path, {{"spec_name", spec.name},
-                                 {"rollout_checkpoint", "1"}})) {
-            throw std::runtime_error(
-                "rollout transport: cannot write model checkpoint " + path);
-          }
-        });
-  };
 
-  // Best-so-far tracking shared by every algorithm branch: the trainers
-  // evaluate the *greedy* policy on held-out sequences, and at an
-  // improving evaluation epoch the live agent IS the best checkpoint.
+  std::optional<core::Agent> init;
+  if (!spec.init_agent.empty()) {
+    init.emplace(load_init_agent(spec.init_agent, store, spec.name));
+  }
+  const std::unique_ptr<core::Trainer> trainer =
+      init ? std::make_unique<core::Trainer>(trace, cfg, *init)
+           : std::make_unique<core::Trainer>(trace, cfg);
+  const core::Agent& agent = trainer->agent();
+  // The series recorder rides along with the transport seam: both are
+  // pure observers the trainer consults per epoch.
+  trainer->set_series(options.series);
+  if (collector) {
+    // Workers load the learner's live agent from a per-epoch checkpoint
+    // (exact-text model format, so the round-trip is bit-exact).
+    trainer->set_collector(collector.get());
+    collector->set_save_model([&agent, &spec](const std::string& path) {
+      if (!agent.save(path, {{"spec_name", spec.name},
+                             {"rollout_checkpoint", "1"}})) {
+        throw std::runtime_error(
+            "rollout transport: cannot write model checkpoint " + path);
+      }
+    });
+  }
+
+  // Best-so-far tracking: the trainer evaluates the *greedy* policy on
+  // held-out sequences, and at an improving evaluation epoch the live
+  // agent IS the best checkpoint.
   double best_eval = std::numeric_limits<double>::infinity();
   std::size_t epochs_run = 0;
   // Final-epoch stats and the per-epoch greedy-eval curve are persisted
@@ -243,70 +191,25 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   std::vector<double> reward_curve;
   std::vector<double> bsld_curve;
   const std::string ckpt = store.checkpoint_path(key);
-  const auto make_observer = [&](const core::Agent& live_agent, auto stats_map) {
-    // Init-capture the referent: capturing the reference PARAMETER by
-    // reference would dangle once make_observer returns.
-    return [&, stats_map, &agent = live_agent](const auto& stats) {
-      const TrainProgress p = stats_map(stats);
-      ++epochs_run;
-      last = p;
-      eval_curve.push_back(p.eval_bsld);
-      reward_curve.push_back(p.mean_reward);
-      bsld_curve.push_back(p.mean_bsld);
-      if (!std::isnan(p.eval_bsld) && p.eval_bsld < best_eval) {
-        best_eval = p.eval_bsld;
-        if (options.checkpoint) {
-          agent.save(ckpt, {{"spec_name", spec.name},
-                            {"checkpoint", "1"},
-                            {"epoch", std::to_string(p.epoch)}});
-        }
+  trainer->train([&](const TrainProgress& p) {
+    ++epochs_run;
+    last = p;
+    eval_curve.push_back(p.eval_bsld);
+    reward_curve.push_back(p.mean_reward);
+    bsld_curve.push_back(p.mean_bsld);
+    if (!std::isnan(p.eval_bsld) && p.eval_bsld < best_eval) {
+      best_eval = p.eval_bsld;
+      if (options.checkpoint) {
+        agent.save(ckpt, {{"spec_name", spec.name},
+                          {"checkpoint", "1"},
+                          {"epoch", std::to_string(p.epoch)}});
       }
-      if (options.on_progress) options.on_progress(spec, p);
-    };
-  };
-
-  std::optional<core::Agent> init;
-  if (!spec.init_agent.empty()) {
-    init.emplace(load_init_agent(spec.init_agent, store, spec.name));
-  }
-
-  const core::Agent* trained = nullptr;
-  std::unique_ptr<core::Trainer> ppo;
-  std::unique_ptr<core::DqnTrainer> dqn;
-  std::unique_ptr<core::ReinforceTrainer> reinforce;
-  if (spec.algorithm == "ppo") {
-    ppo = init ? std::make_unique<core::Trainer>(trace, cfg, *init)
-               : std::make_unique<core::Trainer>(trace, cfg);
-    attach_collector(*ppo);
-    ppo->train(make_observer(
-        ppo->agent(), [](const core::EpochStats& s) { return from_stats(s); }));
-    trained = &ppo->agent();
-  } else if (spec.algorithm == "dqn") {
-    const core::DqnTrainerConfig dcfg = to_dqn(cfg, spec.dqn);
-    dqn = init ? std::make_unique<core::DqnTrainer>(trace, dcfg, *init)
-               : std::make_unique<core::DqnTrainer>(trace, dcfg);
-    attach_collector(*dqn);
-    dqn->train(make_observer(dqn->agent(), [](const core::AltEpochStats& s) {
-      return from_stats(s);
-    }));
-    trained = &dqn->agent();
-  } else if (spec.algorithm == "reinforce") {
-    const core::ReinforceTrainerConfig rcfg = to_reinforce(cfg, spec.reinforce);
-    reinforce = init ? std::make_unique<core::ReinforceTrainer>(trace, rcfg, *init)
-                     : std::make_unique<core::ReinforceTrainer>(trace, rcfg);
-    attach_collector(*reinforce);
-    reinforce->train(make_observer(
-        reinforce->agent(),
-        [](const core::AltEpochStats& s) { return from_stats(s); }));
-    trained = &reinforce->agent();
-  } else {
-    throw std::invalid_argument("training spec '" + spec.name +
-                                "': unknown algorithm '" + spec.algorithm +
-                                "' (known: ppo, dqn, reinforce)");
-  }
+    }
+    if (options.on_progress) options.on_progress(spec, p);
+  });
 
   std::map<std::string, std::string> meta;
-  meta["algorithm"] = spec.algorithm;
+  meta["algorithm"] = cfg.algorithm;
   meta["workload"] = spec.workload.workload;
   meta["trace_jobs"] = std::to_string(spec.workload.trace_jobs);
   meta["base_policy"] = cfg.base_policy;
@@ -339,7 +242,7 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
     meta["bsld_curve"] = join_curve(bsld_curve);
   }
 
-  outcome.entry = store.put(key, *trained, spec.name, meta, canonical);
+  outcome.entry = store.put(key, agent, spec.name, meta, canonical);
   outcome.epochs_run = epochs_run;
   if (collector) outcome.rollout_jobs = collector->jobs();
   if (std::isfinite(best_eval)) outcome.best_eval_bsld = best_eval;
@@ -353,15 +256,7 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
 TrainOutcome train_spec(const TrainingSpec& spec, Store& store,
                         const TrainOptions& options) {
   const std::string key = fingerprint(spec);
-  if (!options.force) {
-    if (auto entry = store.lookup(key)) {
-      if (obs::enabled()) obs::counter("model.train_cache_hits").add(1);
-      TrainOutcome outcome;
-      outcome.entry = std::move(*entry);
-      outcome.cache_hit = true;
-      return outcome;
-    }
-  }
+  if (auto hit = cache_hit(store, key, options)) return std::move(*hit);
   const std::shared_ptr<const swf::Trace> trace =
       exp::build_trace_cached(spec.workload, spec.trainer.seed);
   return run_training(*trace, spec, key, canonical_string(spec), store, options);
@@ -382,15 +277,7 @@ TrainOutcome train_on_trace(const swf::Trace& trace, const TrainingSpec& spec,
   const std::string canonical = canonical_string(spec) + "trace_hash " +
                                 trace_fingerprint(trace) + "\n";
   const std::string key = fnv1a_hex(canonical);
-  if (!options.force) {
-    if (auto entry = store.lookup(key)) {
-      if (obs::enabled()) obs::counter("model.train_cache_hits").add(1);
-      TrainOutcome outcome;
-      outcome.entry = std::move(*entry);
-      outcome.cache_hit = true;
-      return outcome;
-    }
-  }
+  if (auto hit = cache_hit(store, key, options)) return std::move(*hit);
   return run_training(trace, spec, key, canonical, store, options);
 }
 
@@ -499,42 +386,8 @@ std::shared_ptr<const core::Agent> resolve_agent(const std::string& ref) {
   if (std::filesystem::is_regular_file(ref, ec)) {
     agent = std::make_shared<const core::Agent>(core::Agent::load(ref));
   } else if (TrainingRegistry::instance().contains(ref)) {
-    const TrainingSpec& spec = find_training_spec(ref);
-    const std::string key = fingerprint(spec);
-    if (store.contains(key)) {
-      agent = std::make_shared<const core::Agent>(store.load(key));
-    } else {
-      // The registered spec's exact fingerprint is absent — fall back to
-      // a UNIQUE store entry trained under this spec name (e.g. with CLI
-      // budget overrides, which change the content address). Ambiguity
-      // is an error: "which model?" must never be guessed.
-      std::vector<StoreEntry> named;
-      for (const StoreEntry& entry : store.list()) {
-        if (entry.name == ref) named.push_back(entry);
-      }
-      if (named.size() == 1) {
-        util::log_info("agent '", ref, "': registered fingerprint ", key,
-                       " absent; using the unique same-name store entry ",
-                       named[0].key);
-        agent = std::make_shared<const core::Agent>(
-            core::Agent::load(named[0].path));
-      } else if (named.size() > 1) {
-        std::string keys;
-        for (const auto& entry : named) {
-          keys += (keys.empty() ? "" : ", ") + entry.key;
-        }
-        throw std::runtime_error(
-            "agent reference '" + ref + "' is ambiguous: store '" +
-            store.root() + "' holds " + std::to_string(named.size()) +
-            " entries trained under that spec name (" + keys +
-            ") — reference one key directly");
-      } else {
-        throw std::runtime_error(
-            "agent for training spec '" + ref + "' (key " + key +
-            ") is not in model store '" + store.root() +
-            "' — train it first: rlbf_run train --spec=" + ref);
-      }
-    }
+    agent = std::make_shared<const core::Agent>(
+        load_by_spec_name(ref, store, "agent reference"));
   } else if (store.contains(ref)) {
     agent = std::make_shared<const core::Agent>(store.load(ref));
   } else {

@@ -1,6 +1,6 @@
 // The training executor: resolve a TrainingSpec to a trace (through the
-// exp trace cache), run the right trainer (PPO, or the DQN/REINFORCE
-// ablation arms), checkpoint best-so-far agents next to the store entry,
+// exp trace cache), run core::Trainer under the spec's algorithm (PPO, or
+// the DQN/REINFORCE ablation arms), checkpoint best-so-far agents next to the store entry,
 // and commit the result under the spec's fingerprint. A second call with
 // an equal fingerprint is a cache hit and runs nothing.
 //
@@ -13,12 +13,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dist/job.h"
+#include "dist/rollout.h"
 #include "model/store.h"
 #include "model/training_spec.h"
 
@@ -28,18 +28,8 @@ class SeriesRecorder;
 
 namespace rlbf::model {
 
-/// Algorithm-independent per-epoch progress (core::EpochStats and
-/// core::AltEpochStats both map onto this).
-struct TrainProgress {
-  std::size_t epoch = 0;
-  double mean_reward = 0.0;
-  double mean_bsld = 0.0;
-  double mean_baseline_bsld = 0.0;
-  std::size_t steps = 0;
-  /// Greedy held-out evaluation bsld; NaN on non-evaluation epochs.
-  double eval_bsld = std::numeric_limits<double>::quiet_NaN();
-  double wall_seconds = 0.0;
-};
+/// Per-epoch progress: the trainer's own stats, for every algorithm.
+using TrainProgress = core::EpochStats;
 
 struct TrainOptions {
   /// Worker threads for collection/updates; 0 = the spec's setting (which
@@ -72,41 +62,20 @@ struct TrainOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// In-run distributed collection: with workers > 0 every trainer epoch
-  /// fans its rollouts out to `rlbf_run collect-rollouts` subprocesses
-  /// (dist::ProcessCollector) instead of the in-process thread pool.
-  /// Requires a REGISTERED spec — the worker reconstructs the training
-  /// setup from the spec name plus explicit overrides, and train_spec
-  /// verifies the reconstruction reproduces the learner's canonical
-  /// string before any worker launches. Results are byte-identical to
+  /// In-run distributed collection: with rollout.workers > 0 every
+  /// trainer epoch fans its rollouts out to `rlbf_run collect-rollouts`
+  /// subprocesses (dist::ProcessCollector) instead of the in-process
+  /// thread pool; rollout.workers == 0 (the default) keeps it
+  /// in-process. Requires a REGISTERED spec — the worker reconstructs
+  /// the training setup from the spec name plus explicit overrides, and
+  /// train_spec verifies the reconstruction reproduces the learner's
+  /// canonical string before any worker launches (it fills
+  /// rollout.worker_args itself). Results are byte-identical to
   /// workers == 0 at any worker count (rl/collect.h contract).
-  struct RolloutOptions {
-    std::size_t workers = 0;
-    /// Worker binary (normally the running rlbf_run itself).
-    std::string worker_binary;
-    /// Scratch dir for model checkpoints, rollout files, and sidecars.
-    std::string work_dir;
-    /// Collection threads per worker process (0 = spec/hardware default).
-    std::size_t worker_threads = 0;
-    std::size_t retries = 1;
-    double timeout_seconds = 0.0;
-    std::map<std::size_t, std::size_t> inject_failures;
-    bool worker_metrics = false;
-    bool worker_trace = false;
-    bool worker_series = false;
-    /// Heartbeat interval for each epoch's job supervisor (see
-    /// dist::OrchestratorOptions::heartbeat_seconds); 0 disables it.
-    double heartbeat_seconds = 30.0;
-    /// Fired on every supervisor heartbeat (e.g. to sample the metrics
-    /// registry into the series file).
-    std::function<void()> on_heartbeat;
-    /// Remote transport (CommandLauncher) when command_template is set.
-    std::vector<std::string> hosts;
-    std::string command_template;
-    std::string fetch_template;
-    std::function<void(const std::string&)> on_event;
-  };
-  RolloutOptions rollout;
+  dist::RolloutTransportOptions rollout;
+  /// Collection threads per rollout worker process (0 = spec/hardware
+  /// default).
+  std::size_t worker_threads = 0;
 };
 
 struct TrainOutcome {

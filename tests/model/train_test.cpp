@@ -301,7 +301,7 @@ TEST(TrainSpec, WarmStartFallsBackToUniqueSameNameEntry) {
 TEST(UnknownAlgorithm, Throws) {
   Store store(fresh_root("alg"));
   TrainingSpec spec = micro_spec();
-  spec.algorithm = "sarsa";
+  spec.trainer.algorithm = "sarsa";
   EXPECT_THROW(train_spec(spec, store, {}), std::invalid_argument);
 }
 

@@ -64,6 +64,7 @@
 #include <thread>
 
 #include "core/collection.h"
+#include "core/learner.h"
 #include "dist/job.h"
 #include "dist/launcher.h"
 #include "dist/orchestrator.h"
@@ -907,7 +908,7 @@ int train(int argc, char** argv) {
                        "key", "description"});
     for (const std::string& name : model::training_spec_names()) {
       const model::TrainingSpec& s = model::find_training_spec(name);
-      table.add_row({s.name, s.algorithm, s.workload.workload,
+      table.add_row({s.name, s.trainer.algorithm, s.workload.workload,
                      s.trainer.base_policy,
                      std::to_string(s.trainer.epochs) + "x" +
                          std::to_string(s.trainer.trajectories_per_epoch) + "x" +
@@ -1115,16 +1116,16 @@ int train(int argc, char** argv) {
     rollout_work_dir = args.scratch_dir(
         trim_trailing_slashes(model::default_store_root()) + ".rollouts");
     options.rollout.workers = args.rollout_workers;
-    options.rollout.worker_binary =
+    options.rollout.worker =
         args.worker_binary.empty() ? util::current_executable(g_program_path)
                                    : args.worker_binary;
     options.rollout.work_dir = rollout_work_dir;
     // Split the hardware between concurrent local workers (the learner
     // sleeps during collection); remote workers keep their own default.
     if (args.threads != 0) {
-      options.rollout.worker_threads = args.threads;
+      options.worker_threads = args.threads;
     } else if (!args.remote()) {
-      options.rollout.worker_threads = std::max<std::size_t>(
+      options.worker_threads = std::max<std::size_t>(
           std::thread::hardware_concurrency() / args.rollout_workers, 1);
     }
     options.rollout.retries = args.retries;
@@ -1223,7 +1224,7 @@ int train(int argc, char** argv) {
 
 /// The rollout worker of the actor/learner split: reconstruct one
 /// registered training spec's collection setup (trace, base policy,
-/// environment — mirroring the trainer constructors exactly), load the
+/// environment — exactly as core::Trainer collects an epoch), load the
 /// learner's per-epoch model checkpoint, produce the requested seed
 /// subset over an in-process thread pool, and ship the results back as
 /// a fingerprinted wire file (rl/wire.h). Launched by
@@ -1294,24 +1295,18 @@ int collect_rollouts(int argc, char** argv) {
   if (args.jobs > 0) spec.workload.trace_jobs = args.jobs;
   if (args.traj_jobs > 0) spec.trainer.jobs_per_trajectory = args.traj_jobs;
 
-  // Mirror the trainer constructors' environment forcing exactly: the
-  // worker-side epoch must see the same selection mode and exploration
-  // rate the in-process epoch would have (core/trainer.cpp forces
-  // nothing for PPO; core/alt_trainers.cpp forces EpsilonGreedy for DQN
-  // — with the decayed per-epoch rate — and SampleSoftmax for
-  // REINFORCE).
-  core::EnvConfig env = spec.trainer.env;
-  if (spec.algorithm == "dqn") {
-    if (!std::isfinite(args.epsilon)) {
-      std::cerr << "rlbf_run collect-rollouts: dqn specs need --epsilon "
-                   "(the supervisor passes the epoch's decayed rate)\n";
-      return 2;
-    }
-    env.selection = core::ActionSelection::EpsilonGreedy;
-    env.epsilon = args.epsilon;
-  } else if (spec.algorithm == "reinforce") {
-    env.selection = core::ActionSelection::SampleSoftmax;
+  // Reproduce the learner's collection environment exactly: the
+  // algorithm's forced selection mode (core/learner.h) and, for
+  // epsilon-greedy exploration, the epoch's decayed rate.
+  const core::Algorithm& algorithm = core::find_algorithm(spec.trainer.algorithm);
+  if (algorithm.selection == core::ActionSelection::EpsilonGreedy &&
+      !std::isfinite(args.epsilon)) {
+    std::cerr << "rlbf_run collect-rollouts: " << algorithm.name
+              << " specs need --epsilon (the supervisor passes the epoch's "
+                 "decayed rate)\n";
+    return 2;
   }
+  const core::EnvConfig env = algorithm.collection_env(spec.trainer.env, args.epsilon);
 
   // The agent comes entirely from the checkpoint: observation and
   // network configuration travel in the model file, so warm starts and
