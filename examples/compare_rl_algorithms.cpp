@@ -70,6 +70,9 @@ int main(int argc, char** argv) {
       if (cfg.algorithm == "dqn") {
         std::cout << ", epsilon " << std::setprecision(2) << s.epsilon
                   << ", TD loss " << std::setprecision(4) << s.dqn.loss;
+      } else if (cfg.algorithm == "reinforce") {
+        std::cout << ", policy loss " << std::setprecision(4)
+                  << s.reinforce.policy_loss;
       }
       std::cout << ", greedy eval bsld " << std::setprecision(2) << s.eval_bsld
                 << "\n";

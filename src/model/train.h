@@ -1,8 +1,9 @@
 // The training executor: resolve a TrainingSpec to a trace (through the
-// exp trace cache), run core::Trainer under the spec's algorithm (PPO, or
-// the DQN/REINFORCE ablation arms), checkpoint best-so-far agents next to the store entry,
-// and commit the result under the spec's fingerprint. A second call with
-// an equal fingerprint is a cache hit and runs nothing.
+// exp trace cache), run core::Trainer under the spec's algorithm (PPO,
+// or the DQN/REINFORCE ablation arms), checkpoint best-so-far agents
+// next to the store entry, and commit the result under the spec's
+// fingerprint. A second call with an equal fingerprint is a cache hit
+// and runs nothing.
 //
 // resolve_agent() is the deployment-side counterpart: it turns the agent
 // reference a ScenarioSpec carries (training-spec name, store key, or

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "exp/scenario.h"
@@ -296,6 +297,63 @@ TEST(TrainSpec, WarmStartFallsBackToUniqueSameNameEntry) {
   fine.name = "micro-ft-by-name";
   fine.init_agent = "abl-transfer-source";
   EXPECT_FALSE(train_spec(fine, store, options).cache_hit);
+}
+
+// resolve_agent shares the warm-start lookup: a registered spec name
+// whose exact fingerprint is absent resolves to the unique entry trained
+// under that name (the `rlbf_run train --epochs=N` then `run` path).
+TEST(ResolveAgent, FallsBackToUniqueSameNameEntry) {
+  const std::string root = fresh_root("resolvename");
+  set_default_store_root(root);
+  clear_agent_cache();
+  TrainingSpec source = micro_spec(5);
+  source.name = "abl-transfer-source";  // registered name, overridden budget
+  const TrainOutcome src = train_spec(source, default_store(), {});
+  ASSERT_NE(src.entry.key, fingerprint(find_training_spec("abl-transfer-source")));
+
+  const auto by_name = resolve_agent("abl-transfer-source");
+  ASSERT_NE(by_name, nullptr);
+  const std::string saved = ::testing::TempDir() + "/rlbf_resolved_by_name.model";
+  ASSERT_TRUE(by_name->save(saved));
+  const std::string stored = ::testing::TempDir() + "/rlbf_resolved_by_key.model";
+  ASSERT_TRUE(resolve_agent(src.entry.key)->save(stored));
+  EXPECT_EQ(file_bytes(saved), file_bytes(stored));
+}
+
+// Two entries trained under one registered name: "which model?" is never
+// guessed, through either entry point, and the error lists both keys.
+TEST(ResolveAgent, SameNameAmbiguityIsAnErrorForBothEntryPoints) {
+  const std::string root = fresh_root("ambiguous");
+  set_default_store_root(root);
+  clear_agent_cache();
+  Store& store = default_store();
+  TrainingSpec a = micro_spec(5);
+  TrainingSpec b = micro_spec(6);
+  a.name = b.name = "abl-transfer-source";
+  const TrainOutcome ta = train_spec(a, store, {});
+  const TrainOutcome tb = train_spec(b, store, {});
+  ASSERT_NE(ta.entry.key, tb.entry.key);
+
+  const auto expect_ambiguous = [&](const std::function<void()>& call,
+                                    const std::string& context) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("ambiguous"), std::string::npos) << message;
+      EXPECT_NE(message.find(context), std::string::npos) << message;
+      EXPECT_NE(message.find(ta.entry.key), std::string::npos) << message;
+      EXPECT_NE(message.find(tb.entry.key), std::string::npos) << message;
+    }
+  };
+  expect_ambiguous([] { resolve_agent("abl-transfer-source"); },
+                   "agent reference");
+  TrainingSpec fine = micro_spec(7);
+  fine.name = "micro-ft-ambiguous";
+  fine.init_agent = "abl-transfer-source";
+  expect_ambiguous([&] { train_spec(fine, store, {}); },
+                   "training spec 'micro-ft-ambiguous'");
 }
 
 TEST(UnknownAlgorithm, Throws) {
