@@ -1,6 +1,7 @@
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "sched/easy_backfill.h"
 #include "sched/policies.h"
@@ -243,6 +244,14 @@ struct SimPropertyCase {
   std::uint64_t seed;
   bool backfill;
 };
+
+// Without a printer gtest names each case by the raw bytes of the struct,
+// which include the trace_name pointer and padding and so change between
+// builds and runs.
+void PrintTo(const SimPropertyCase& c, std::ostream* os) {
+  *os << c.trace_name << " seed " << c.seed
+      << (c.backfill ? " easy" : " no-backfill");
+}
 
 class SimPropertyTest : public ::testing::TestWithParam<SimPropertyCase> {};
 

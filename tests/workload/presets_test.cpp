@@ -1,8 +1,14 @@
 #include "workload/presets.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 namespace rlbf::workload {
+
+// Found by ADL: without it gtest prints a PresetTargets parameter as raw
+// bytes, which include the name string's data pointer.
+void PrintTo(const PresetTargets& t, std::ostream* os) { *os << t.name; }
+
 namespace {
 
 class PresetCalibrationTest : public ::testing::TestWithParam<PresetTargets> {};
