@@ -1,9 +1,9 @@
 #include "sched/conservative_backfill.h"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <stdexcept>
+
+#include "obs/metrics.h"
 
 namespace rlbf::sched {
 
@@ -31,59 +31,53 @@ AvailabilityProfile AvailabilityProfile::from_cluster(
 
 std::size_t AvailabilityProfile::segment_index(std::int64_t t) const {
   // Last breakpoint with time <= t; t >= now_ is a precondition.
-  std::size_t lo = 0;
-  for (std::size_t i = 0; i < breakpoints_.size(); ++i) {
-    if (breakpoints_[i].time <= t) lo = i;
-    else break;
-  }
-  return lo;
+  const auto after = std::upper_bound(
+      breakpoints_.begin(), breakpoints_.end(), t,
+      [](std::int64_t value, const Segment& seg) { return value < seg.time; });
+  return static_cast<std::size_t>(after - breakpoints_.begin()) - 1;
 }
 
-void AvailabilityProfile::insert_breakpoint(std::int64_t t) {
+std::size_t AvailabilityProfile::insert_breakpoint(std::int64_t t) {
   const std::size_t i = segment_index(t);
-  if (breakpoints_[i].time == t) return;
+  if (breakpoints_[i].time == t) return i;
   breakpoints_.insert(breakpoints_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                       {t, breakpoints_[i].free});
+  return i + 1;
 }
 
 std::int64_t AvailabilityProfile::earliest_start(std::int64_t procs,
                                                  std::int64_t duration) const {
   if (duration <= 0) duration = 1;
   // Only breakpoint times can be optimal starts: between breakpoints the
-  // free level is constant, so feasibility cannot improve. Try each in
-  // ascending order and verify every segment overlapping the window
-  // [start, start + duration) has enough capacity.
-  for (std::size_t i = 0; i < breakpoints_.size(); ++i) {
-    const std::int64_t start = std::max(breakpoints_[i].time, now_);
-    const std::int64_t end = start + duration;
-    bool ok = true;
-    for (std::size_t j = 0; j < breakpoints_.size(); ++j) {
-      const std::int64_t seg_start = breakpoints_[j].time;
-      const std::int64_t seg_end = (j + 1 < breakpoints_.size())
-                                       ? breakpoints_[j + 1].time
-                                       : std::numeric_limits<std::int64_t>::max();
-      if (seg_end <= start) continue;  // segment ends before the window
-      if (seg_start >= end) break;     // past the window; later ones too
-      if (breakpoints_[j].free < procs) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return start;
+  // free level is constant, so feasibility cannot improve. Try them in
+  // ascending order; a start at breakpoint i needs every segment j >= i
+  // that begins before start + duration to have `procs` free. When
+  // segment j falls short, every start in (i, j] overlaps it as well,
+  // so the next candidate is j + 1 and each segment is scanned once.
+  const std::size_t n = breakpoints_.size();
+  std::size_t i = 0;
+  while (i < n) {
+    const std::int64_t end = breakpoints_[i].time + duration;
+    std::size_t j = i;
+    while (j < n && breakpoints_[j].time < end && breakpoints_[j].free >= procs) ++j;
+    if (j == n || breakpoints_[j].time >= end) return breakpoints_[i].time;
+    i = j + 1;
   }
   throw std::runtime_error("profile: no feasible start (job wider than machine?)");
 }
 
 void AvailabilityProfile::reserve(std::int64_t start, std::int64_t procs,
                                   std::int64_t duration) {
+  if (start < now_) {
+    throw std::invalid_argument("profile: reservation starts before now");
+  }
   if (duration <= 0) duration = 1;
-  const std::int64_t end = start + duration;
-  insert_breakpoint(start);
-  insert_breakpoint(end);
-  for (auto& seg : breakpoints_) {
-    if (seg.time >= start && seg.time < end) {
-      seg.free -= procs;
-      if (seg.free < 0) throw std::runtime_error("profile: negative capacity");
+  const std::size_t first = insert_breakpoint(start);
+  const std::size_t last = insert_breakpoint(start + duration);
+  for (std::size_t k = first; k < last; ++k) {
+    breakpoints_[k].free -= procs;
+    if (breakpoints_[k].free < 0) {
+      throw std::runtime_error("profile: negative capacity");
     }
   }
 }
@@ -107,50 +101,53 @@ std::vector<std::int64_t> plan_starts(AvailabilityProfile profile,
   return starts;
 }
 
-namespace {
+void PlanningBackfillChooser::episode_end(const std::vector<sim::JobResult>&) {
+  if (obs::enabled()) {
+    obs::counter("sched.plan_queries").add(plan_queries_);
+    obs::counter("sched.candidates_tested").add(candidates_tested_);
+  }
+  plan_queries_ = 0;
+  candidates_tested_ = 0;
+}
 
-/// Shared plan-and-compare core: admit the first candidate that delays
-/// no queued job's planned start by more than its allowance. The
-/// allowance callback receives the queued job's trace index so it can
-/// use the context's memoized estimates.
-std::optional<std::size_t> choose_with_allowance(
-    const sim::BackfillContext& ctx,
-    const std::function<std::int64_t(std::size_t)>& allowance) {
+template <class Allowance>
+std::optional<std::size_t> PlanningBackfillChooser::choose_with_allowance(
+    const sim::BackfillContext& ctx, Allowance allowance) {
   const AvailabilityProfile base = AvailabilityProfile::from_cluster(
       ctx.cluster, ctx.trace, ctx.estimator, ctx.now, ctx.cache);
 
   // Baseline plan: every queued job packed in priority order.
   const std::vector<std::int64_t> baseline = plan_starts(base, ctx.queue, ctx);
+  plan_queries_ += ctx.queue.size();
 
   for (std::size_t c = 0; c < ctx.candidates.size(); ++c) {
     const std::size_t cand = ctx.candidates[c];
-    // Plan again with the candidate running *now*; the rest of the queue
-    // (minus the candidate) must stay within its delay allowance.
+    ++candidates_tested_;
+    // Plan again with the candidate running *now*. Each queued job's
+    // start depends only on the jobs planned before it, so the first
+    // one pushed beyond its delay allowance rejects the candidate
+    // without planning the rest of the queue.
     AvailabilityProfile with_cand = base;
     const auto& cjob = ctx.trace[cand];
     with_cand.reserve(ctx.now, cjob.procs(), sim::context_estimate(ctx, cand));
-
-    std::vector<std::size_t> rest;
-    std::vector<std::int64_t> rest_baseline;
-    for (std::size_t q = 0; q < ctx.queue.size(); ++q) {
-      if (ctx.queue[q] == cand) continue;
-      rest.push_back(ctx.queue[q]);
-      rest_baseline.push_back(baseline[q]);
-    }
-    const std::vector<std::int64_t> with_starts = plan_starts(with_cand, rest, ctx);
     bool delays = false;
-    for (std::size_t q = 0; q < rest.size(); ++q) {
-      if (with_starts[q] > rest_baseline[q] + allowance(rest[q])) {
+    for (std::size_t q = 0; q < ctx.queue.size(); ++q) {
+      const std::size_t idx = ctx.queue[q];
+      if (idx == cand) continue;
+      const auto& job = ctx.trace[idx];
+      const std::int64_t dur = sim::context_estimate(ctx, idx);
+      const std::int64_t s = with_cand.earliest_start(job.procs(), dur);
+      ++plan_queries_;
+      if (s > baseline[q] + allowance(idx)) {
         delays = true;
         break;
       }
+      with_cand.reserve(s, job.procs(), dur);
     }
     if (!delays) return c;
   }
   return std::nullopt;
 }
-
-}  // namespace
 
 std::optional<std::size_t> ConservativeBackfillChooser::choose(
     const sim::BackfillContext& ctx) {

@@ -320,6 +320,50 @@ else()
     math(EXPR failures "${failures} + 1")
   endif()
 endif()
+# The conservative planner's work counters reach the metrics sink, and
+# flushing them leaves stdout and the result files (summary and per-job
+# CSVs) byte-identical to the uninstrumented run.
+foreach(mode off on)
+  file(MAKE_DIRECTORY "${WORK_DIR}/cons_${mode}")
+  set(extra)
+  if(mode STREQUAL "on")
+    set(extra --metrics_out=cons_metrics.json)
+  endif()
+  execute_process(
+    COMMAND "${RLBF_RUN}" run --scenario=sdsc-conservative --jobs=600 --seed=5
+            --out_dir=results ${extra}
+    WORKING_DIRECTORY "${WORK_DIR}/cons_${mode}"
+    OUTPUT_FILE "${WORK_DIR}/cons_${mode}/stdout.txt"
+    ERROR_VARIABLE cons_err
+    RESULT_VARIABLE cons_rc)
+  if(NOT cons_rc EQUAL 0)
+    message(FATAL_ERROR "cons counters: ${mode} run failed (${cons_rc})\n${cons_err}")
+  endif()
+endforeach()
+set(cons_ok 1)
+foreach(file stdout.txt results/summary.csv results/jobs-sdsc-conservative-s5.csv)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${WORK_DIR}/cons_off/${file}" "${WORK_DIR}/cons_on/${file}"
+    RESULT_VARIABLE cons_same)
+  if(NOT cons_same EQUAL 0)
+    set(cons_ok 0)
+    message(WARNING "cons counters: ${file} differs with metrics on")
+  endif()
+endforeach()
+file(READ "${WORK_DIR}/cons_on/cons_metrics.json" cons_metrics)
+foreach(counter plan_queries candidates_tested)
+  if(NOT cons_metrics MATCHES "\"sched\\.${counter}\": [1-9]")
+    set(cons_ok 0)
+    message(WARNING "cons counters: metrics dump lacks a nonzero sched.${counter}")
+  endif()
+endforeach()
+if(cons_ok)
+  message(STATUS "cons planner counters + byte-identity: ok")
+else()
+  math(EXPR failures "${failures} + 1")
+endif()
+
 # A metrics sink that cannot be written is a loud exit-1 failure, after
 # the run's real work.
 expect_failure("unwritable metrics_out" "cannot write --metrics_out"

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "sched/easy_backfill.h"
 #include "sched/policies.h"
 #include "sched/runtime_estimator.h"
 #include "sched/scheduler.h"
+#include "util/rng.h"
 #include "workload/presets.h"
 
 namespace rlbf::sched {
@@ -77,6 +81,109 @@ TEST(Profile, EarliestStartSkipsTooNarrowWindows) {
 TEST(Profile, ImpossibleRequestThrows) {
   AvailabilityProfile p(0, 8);
   EXPECT_THROW(p.earliest_start(9, 10), std::runtime_error);
+}
+
+TEST(Profile, ReservationBeforeNowThrows) {
+  AvailabilityProfile p(100, 8);
+  EXPECT_THROW(p.reserve(50, 4, 10), std::invalid_argument);
+  // The rejected reservation left the profile untouched.
+  EXPECT_EQ(p.free_at(100), 8);
+  EXPECT_EQ(p.earliest_start(8, 10), 100);
+  p.reserve(100, 4, 10);  // starting exactly at now is fine
+  EXPECT_EQ(p.free_at(100), 4);
+}
+
+/// Brute-force reference for AvailabilityProfile: free processors per
+/// second over [now, horizon). Every reservation ends by the horizon, so
+/// the whole machine is free from there on.
+class CapacityArray {
+ public:
+  CapacityArray(std::int64_t now, std::int64_t total, std::int64_t horizon)
+      : now_(now), total_(total), free_(static_cast<std::size_t>(horizon - now), total) {}
+
+  std::int64_t free_at(std::int64_t t) const {
+    const std::size_t i = static_cast<std::size_t>(std::max(t, now_) - now_);
+    return i < free_.size() ? free_[i] : total_;
+  }
+
+  bool fits(std::int64_t start, std::int64_t procs, std::int64_t duration) const {
+    for (std::int64_t t = start; t < start + std::max<std::int64_t>(duration, 1); ++t) {
+      if (free_at(t) < procs) return false;
+    }
+    return true;
+  }
+
+  /// nullopt when no start is feasible (wider than the machine).
+  std::optional<std::int64_t> earliest_start(std::int64_t procs,
+                                             std::int64_t duration) const {
+    if (procs > total_) return std::nullopt;
+    for (std::int64_t s = now_;; ++s) {
+      if (fits(s, procs, duration)) return s;
+    }
+  }
+
+  void reserve(std::int64_t start, std::int64_t procs, std::int64_t duration) {
+    for (std::int64_t t = start; t < start + std::max<std::int64_t>(duration, 1); ++t) {
+      free_[static_cast<std::size_t>(t - now_)] -= procs;
+    }
+  }
+
+ private:
+  std::int64_t now_;
+  std::int64_t total_;
+  std::vector<std::int64_t> free_;
+};
+
+TEST(Profile, MatchesBruteForceCapacityArray) {
+  util::Rng rng(20230613);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::int64_t now = rng.uniform_int(0, 50);
+    const std::int64_t total = rng.uniform_int(1, 16);
+    const std::int64_t horizon = now + 400;
+    AvailabilityProfile profile(now, total);
+    CapacityArray ref(now, total, horizon);
+
+    const int reservations = static_cast<int>(rng.uniform_int(0, 25));
+    for (int r = 0; r < reservations; ++r) {
+      const std::int64_t procs = rng.uniform_int(1, total);
+      const std::int64_t duration = rng.uniform_int(-2, 60);
+      // Half the reservations go where the planner would put them, the
+      // rest at random starts (skipped unless they fit).
+      std::int64_t start = rng.uniform_int(now, now + 150);
+      if (rng.bernoulli(0.5)) {
+        const auto planned = ref.earliest_start(procs, duration);
+        ASSERT_TRUE(planned.has_value());
+        ASSERT_EQ(profile.earliest_start(procs, duration), *planned);
+        start = *planned;
+      }
+      if (start + std::max<std::int64_t>(duration, 1) > horizon) continue;
+      if (!ref.fits(start, procs, duration)) {
+        AvailabilityProfile copy = profile;
+        EXPECT_THROW(copy.reserve(start, procs, duration), std::runtime_error);
+        continue;
+      }
+      profile.reserve(start, procs, duration);
+      ref.reserve(start, procs, duration);
+    }
+
+    for (std::int64_t t = now - 5; t < horizon + 5; ++t) {
+      ASSERT_EQ(profile.free_at(t), ref.free_at(t)) << "t=" << t;
+    }
+    for (int q = 0; q < 50; ++q) {
+      // Widths up to one past the machine; durations include <= 0.
+      const std::int64_t procs = rng.bernoulli(0.2) ? total : rng.uniform_int(1, total + 1);
+      const std::int64_t duration = rng.uniform_int(-1, 120);
+      const auto expected = ref.earliest_start(procs, duration);
+      if (expected.has_value()) {
+        ASSERT_EQ(profile.earliest_start(procs, duration), *expected)
+            << "procs=" << procs << " duration=" << duration;
+      } else {
+        ASSERT_THROW(profile.earliest_start(procs, duration), std::runtime_error)
+            << "procs=" << procs;
+      }
+    }
+  }
 }
 
 TEST(Profile, FromClusterUsesEstimatedEnds) {
