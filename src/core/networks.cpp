@@ -23,6 +23,12 @@ void check_dims(const nn::Mlp& mlp, std::size_t in, std::size_t out, const char*
   }
 }
 
+void check_stack(const nn::Tensor& stacked, const nn::Segments& seg) {
+  if (seg.empty() || seg.total_rows() != stacked.rows()) {
+    throw std::invalid_argument("policy_logits: segments must cover the stacked rows");
+  }
+}
+
 }  // namespace
 
 // ---------------- KernelActorCritic ----------------
@@ -44,10 +50,12 @@ KernelActorCritic::KernelActorCritic(const ObservationConfig& obs, nn::Mlp polic
   check_dims(value_, obs.value_feature_dim(), 1, "kernel value");
 }
 
-nn::VarPtr KernelActorCritic::policy_logits(const nn::Tensor& policy_obs) const {
+nn::VarPtr KernelActorCritic::policy_logits(const nn::Tensor& stacked,
+                                            const nn::Segments& seg) const {
   // The kernel trick: one matmul applies the same per-job MLP to every
-  // row, yielding an N x 1 score column directly.
-  return policy_.forward(nn::constant(policy_obs));
+  // row of every stacked observation, yielding the score column directly.
+  check_stack(stacked, seg);
+  return policy_.forward(nn::constant(stacked), seg);
 }
 
 nn::VarPtr KernelActorCritic::value(const nn::Tensor& value_obs) const {
@@ -132,13 +140,21 @@ FlatActorCritic::FlatActorCritic(const ObservationConfig& obs, nn::Mlp policy,
   check_dims(value_, obs.value_feature_dim(), 1, "flat value");
 }
 
-nn::VarPtr FlatActorCritic::policy_logits(const nn::Tensor& policy_obs) const {
-  if (policy_obs.rows() != obs_.padded_policy_rows()) {
-    throw std::invalid_argument("flat policy: observation must be padded");
+nn::VarPtr FlatActorCritic::policy_logits(const nn::Tensor& stacked,
+                                          const nn::Segments& seg) const {
+  check_stack(stacked, seg);
+  const std::size_t rows = obs_.padded_policy_rows();
+  for (std::size_t i = 0; i < seg.count(); ++i) {
+    if (seg.rows(i) != rows) {
+      throw std::invalid_argument("flat policy: observation must be padded");
+    }
   }
-  const nn::VarPtr flat = nn::constant(
-      policy_obs.reshaped(1, policy_obs.rows() * policy_obs.cols()));
-  return nn::reshape(policy_.forward(flat), obs_.padded_policy_rows(), 1);
+  // Both reshapes are row-major, so they are exact: row i of the
+  // B x (P*F) input is observation i flattened, and row i of the B x P
+  // output is its logits. Each observation is one one-row segment.
+  const std::size_t n = seg.count();
+  const nn::VarPtr flat = nn::constant(stacked.reshaped(n, rows * stacked.cols()));
+  return nn::reshape(policy_.forward(flat, nn::Segments::uniform(n, 1)), n * rows, 1);
 }
 
 nn::VarPtr FlatActorCritic::value(const nn::Tensor& value_obs) const {

@@ -38,7 +38,9 @@ class KernelActorCritic final : public rl::ActorCritic {
   /// Reconstruct from saved networks (shape-checked).
   KernelActorCritic(const ObservationConfig& obs, nn::Mlp policy, nn::Mlp value);
 
-  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const override;
+  using rl::ActorCritic::policy_logits;
+  nn::VarPtr policy_logits(const nn::Tensor& stacked,
+                           const nn::Segments& seg) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
   nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;
@@ -67,7 +69,9 @@ class FlatActorCritic final : public rl::ActorCritic {
                   util::Rng& rng);
   FlatActorCritic(const ObservationConfig& obs, nn::Mlp policy, nn::Mlp value);
 
-  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const override;
+  using rl::ActorCritic::policy_logits;
+  nn::VarPtr policy_logits(const nn::Tensor& stacked,
+                           const nn::Segments& seg) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
   nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;

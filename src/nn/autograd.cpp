@@ -11,6 +11,7 @@
 namespace rlbf::nn {
 
 void Variable::accumulate_grad(const Tensor& g) {
+  if (!tracks_grad()) return;
   if (!has_grad()) {
     grad = Tensor::zeros(value.rows(), value.cols());
   }
@@ -19,6 +20,18 @@ void Variable::accumulate_grad(const Tensor& g) {
 
 void Variable::zero_grad() {
   if (grad.size() > 0) grad.fill(0.0);
+}
+
+void Segments::push(std::size_t rows) {
+  if (offsets.empty()) offsets.push_back(0);
+  offsets.push_back(offsets.back() + rows);
+}
+
+Segments Segments::uniform(std::size_t count, std::size_t rows_each) {
+  Segments seg;
+  seg.offsets.reserve(count + 1);
+  for (std::size_t i = 0; i < count; ++i) seg.push(rows_each);
+  return seg;
 }
 
 VarPtr make_var(Tensor value, bool requires_grad) {
@@ -31,25 +44,39 @@ VarPtr scalar(double v) { return constant(Tensor::full(1, 1, v)); }
 
 namespace {
 
-/// Whether gradient needs to flow into `v`'s subgraph.
-bool needs_grad(const VarPtr& v) {
-  return v->requires_grad || !v->parents.empty() || v->backward_fn != nullptr;
-}
-
-VarPtr make_op(Tensor value, std::vector<VarPtr> parents, std::function<void()> fn) {
+/// An op node; it keeps its parents (and so tracks gradients) only when
+/// at least one parent does. The caller attaches backward_fn.
+VarPtr make_op(Tensor value, std::vector<VarPtr> parents) {
   auto out = make_var(std::move(value), false);
   bool any = false;
-  for (const auto& p : parents) any = any || needs_grad(p);
-  if (any) {
-    out->parents = std::move(parents);
-    out->backward_fn = std::move(fn);
-  }
+  for (const auto& p : parents) any = any || p->tracks_grad();
+  if (any) out->parents = std::move(parents);
   return out;
+}
+
+void check_segments(const Segments& seg, const Tensor& a, const char* op) {
+  if (!seg.empty() && seg.total_rows() != a.rows()) {
+    throw std::invalid_argument(std::string(op) + ": segments cover " +
+                                std::to_string(seg.total_rows()) + " rows of " +
+                                a.shape_str());
+  }
+}
+
+/// Runs fn(begin, end) over each segment's row range; an empty Segments
+/// is the single range [0, rows).
+template <class Fn>
+void for_each_segment(const Segments& seg, std::size_t rows, Fn fn) {
+  if (seg.empty()) {
+    fn(std::size_t{0}, rows);
+    return;
+  }
+  for (std::size_t i = 0; i < seg.count(); ++i) fn(seg.begin(i), seg.end(i));
 }
 
 }  // namespace
 
-VarPtr add(const VarPtr& a, const VarPtr& b) {
+VarPtr add(const VarPtr& a, const VarPtr& b, const Segments& seg) {
+  check_segments(seg, a->value, "add");
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
   Tensor out = av;
@@ -66,22 +93,26 @@ VarPtr add(const VarPtr& a, const VarPtr& b) {
     throw std::invalid_argument("add: incompatible shapes " + av.shape_str() + " + " +
                                 bv.shape_str());
   }
-  auto result = make_op(std::move(out), {a, b}, nullptr);
+  auto result = make_op(std::move(out), {a, b});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [a, b, wr] {
+  result->backward_fn = [a, b, seg, wr] {
     const auto r = wr.lock();
     const Tensor& g = r->grad;
     a->accumulate_grad(g);
+    if (!b->tracks_grad()) return;
     const Tensor& bv = b->value;
     if (bv.same_shape(a->value)) {
       b->accumulate_grad(g);
     } else if (bv.rows() == 1 && bv.cols() == g.cols()) {
       Tensor gb(1, g.cols());
-      for (std::size_t r2 = 0; r2 < g.rows(); ++r2) {
-        for (std::size_t c = 0; c < g.cols(); ++c) gb.at(0, c) += g.at(r2, c);
-      }
-      b->accumulate_grad(gb);
+      for_each_segment(seg, g.rows(), [&](std::size_t begin, std::size_t end) {
+        gb.fill(0.0);
+        for (std::size_t r2 = begin; r2 < end; ++r2) {
+          for (std::size_t c = 0; c < g.cols(); ++c) gb.at(0, c) += g.at(r2, c);
+        }
+        b->accumulate_grad(gb);
+      });
     } else {  // scalar broadcast
       b->accumulate_grad(Tensor::full(1, 1, g.sum()));
     }
@@ -98,17 +129,21 @@ VarPtr mul(const VarPtr& a, const VarPtr& b) {
   }
   Tensor out = a->value;
   out.hadamard_(b->value);
-  auto result = make_op(std::move(out), {a, b}, nullptr);
+  auto result = make_op(std::move(out), {a, b});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, b, wr] {
     const auto r = wr.lock();
-    Tensor ga = r->grad;
-    ga.hadamard_(b->value);
-    a->accumulate_grad(ga);
-    Tensor gb = r->grad;
-    gb.hadamard_(a->value);
-    b->accumulate_grad(gb);
+    if (a->tracks_grad()) {
+      Tensor ga = r->grad;
+      ga.hadamard_(b->value);
+      a->accumulate_grad(ga);
+    }
+    if (b->tracks_grad()) {
+      Tensor gb = r->grad;
+      gb.hadamard_(a->value);
+      b->accumulate_grad(gb);
+    }
   };
   return result;
 }
@@ -116,7 +151,7 @@ VarPtr mul(const VarPtr& a, const VarPtr& b) {
 VarPtr mul_scalar(const VarPtr& a, double s) {
   Tensor out = a->value;
   out.mul_(s);
-  auto result = make_op(std::move(out), {a}, nullptr);
+  auto result = make_op(std::move(out), {a});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, s, wr] {
@@ -129,34 +164,45 @@ VarPtr mul_scalar(const VarPtr& a, double s) {
 
 VarPtr neg(const VarPtr& a) { return mul_scalar(a, -1.0); }
 
-VarPtr matmul(const VarPtr& a, const VarPtr& b) {
+VarPtr matmul(const VarPtr& a, const VarPtr& b, const Segments& seg) {
+  check_segments(seg, a->value, "matmul");
   Tensor out;
   Tensor::matmul_into(a->value, b->value, out);
-  auto result = make_op(std::move(out), {a, b}, nullptr);
+  auto result = make_op(std::move(out), {a, b});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [a, b, wr] {
+  result->backward_fn = [a, b, seg, wr] {
     const auto r = wr.lock();
     const Tensor& g = r->grad;
-    // dA = G * B^T ; dB = A^T * G
-    Tensor ga;
-    Tensor::matmul_into(g, b->value, ga, false, true);
-    a->accumulate_grad(ga);
-    Tensor gb;
-    Tensor::matmul_into(a->value, g, gb, true, false);
-    b->accumulate_grad(gb);
+    // dA = G * B^T, row by row; never formed for a constant A (the
+    // networks' observation input).
+    if (a->tracks_grad()) {
+      Tensor ga;
+      Tensor::matmul_into(g, b->value, ga, false, true);
+      a->accumulate_grad(ga);
+    }
+    // dB = A^T * G, summed one segment at a time.
+    if (b->tracks_grad()) {
+      Tensor gb;
+      for_each_segment(seg, g.rows(), [&](std::size_t begin, std::size_t end) {
+        Tensor::matmul_tn_rows(a->value, g, begin, end, gb);
+        b->accumulate_grad(gb);
+      });
+    }
   };
   return result;
 }
 
 namespace {
 
-/// Unary elementwise op with derivative computed from input & output.
-VarPtr unary_op(const VarPtr& a, const std::function<double(double)>& f,
-                const std::function<double(double /*x*/, double /*y*/)>& df) {
+/// Unary elementwise op with derivative df(x, y) computed from input x
+/// and output y. Functors are template parameters so the per-element
+/// calls inline.
+template <class F, class DF>
+VarPtr unary_op(const VarPtr& a, F f, DF df) {
   Tensor out = a->value;
   for (auto& x : out.data()) x = f(x);
-  auto result = make_op(std::move(out), {a}, nullptr);
+  auto result = make_op(std::move(out), {a});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, df, wr] {
@@ -206,7 +252,7 @@ VarPtr huber(const VarPtr& a, double delta) {
 }
 
 VarPtr sum(const VarPtr& a) {
-  auto result = make_op(Tensor::full(1, 1, a->value.sum()), {a}, nullptr);
+  auto result = make_op(Tensor::full(1, 1, a->value.sum()), {a});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, wr] {
@@ -235,22 +281,21 @@ VarPtr minimum(const VarPtr& a, const VarPtr& b) {
   }
   Tensor out = a->value;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::min(out[i], b->value[i]);
-  auto result = make_op(std::move(out), {a, b}, nullptr);
+  auto result = make_op(std::move(out), {a, b});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, b, wr] {
     const auto r = wr.lock();
-    Tensor ga = Tensor::zeros(r->grad.rows(), r->grad.cols());
-    Tensor gb = ga;
-    for (std::size_t i = 0; i < r->grad.size(); ++i) {
-      if (a->value[i] <= b->value[i]) {
-        ga[i] = r->grad[i];
-      } else {
-        gb[i] = r->grad[i];
+    // The gradient follows the smaller input; ties go to a.
+    const auto routed = [&](bool to_a) {
+      Tensor gx = Tensor::zeros(r->grad.rows(), r->grad.cols());
+      for (std::size_t i = 0; i < r->grad.size(); ++i) {
+        if ((a->value[i] <= b->value[i]) == to_a) gx[i] = r->grad[i];
       }
-    }
-    a->accumulate_grad(ga);
-    b->accumulate_grad(gb);
+      return gx;
+    };
+    if (a->tracks_grad()) a->accumulate_grad(routed(true));
+    if (b->tracks_grad()) b->accumulate_grad(routed(false));
   };
   return result;
 }
@@ -259,7 +304,7 @@ VarPtr pick(const VarPtr& a, std::size_t r, std::size_t c) {
   if (r >= a->value.rows() || c >= a->value.cols()) {
     throw std::out_of_range("pick: index out of range");
   }
-  auto result = make_op(Tensor::full(1, 1, a->value.at(r, c)), {a}, nullptr);
+  auto result = make_op(Tensor::full(1, 1, a->value.at(r, c)), {a});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, r, c, wr] {
@@ -270,8 +315,30 @@ VarPtr pick(const VarPtr& a, std::size_t r, std::size_t c) {
   return result;
 }
 
+VarPtr slice_rows(const VarPtr& a, std::size_t begin, std::size_t count) {
+  const Tensor& av = a->value;
+  if (begin + count > av.rows()) {
+    throw std::out_of_range("slice_rows: rows [" + std::to_string(begin) + ", " +
+                            std::to_string(begin + count) + ") of " + av.shape_str());
+  }
+  Tensor out(count, av.cols());
+  const auto first = av.data().begin() + static_cast<std::ptrdiff_t>(begin * av.cols());
+  std::copy(first, first + static_cast<std::ptrdiff_t>(count * av.cols()),
+            out.data().begin());
+  auto result = make_op(std::move(out), {a});
+  if (result->parents.empty()) return result;
+  std::weak_ptr<Variable> wr = result;
+  result->backward_fn = [a, begin, wr] {
+    const auto r = wr.lock();
+    if (!a->has_grad()) a->grad = Tensor::zeros(a->value.rows(), a->value.cols());
+    double* dst = a->grad.data().data() + begin * a->value.cols();
+    for (std::size_t i = 0; i < r->grad.size(); ++i) dst[i] += r->grad[i];
+  };
+  return result;
+}
+
 VarPtr reshape(const VarPtr& a, std::size_t rows, std::size_t cols) {
-  auto result = make_op(a->value.reshaped(rows, cols), {a}, nullptr);
+  auto result = make_op(a->value.reshaped(rows, cols), {a});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, wr] {
@@ -307,7 +374,7 @@ VarPtr masked_log_softmax(const VarPtr& logits, const std::vector<std::uint8_t>&
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (mask[i]) out.at(i, 0) = z.at(i, 0) - lse;
   }
-  auto result = make_op(std::move(out), {logits}, nullptr);
+  auto result = make_op(std::move(out), {logits});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [logits, mask, wr] {
@@ -337,7 +404,7 @@ VarPtr masked_entropy(const VarPtr& log_probs, const std::vector<std::uint8_t>& 
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (mask[i]) h -= std::exp(lp.at(i, 0)) * lp.at(i, 0);
   }
-  auto result = make_op(Tensor::full(1, 1, h), {log_probs}, nullptr);
+  auto result = make_op(Tensor::full(1, 1, h), {log_probs});
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [log_probs, mask, wr] {
@@ -372,7 +439,9 @@ void backward(const VarPtr& root) {
     auto& [node, child] = stack.back();
     if (child < node->parents.size()) {
       const VarPtr next = node->parents[child++];
-      if (visited.insert(next.get()).second) stack.emplace_back(next, 0);
+      if (next->tracks_grad() && visited.insert(next.get()).second) {
+        stack.emplace_back(next, 0);
+      }
     } else {
       topo.push_back(node);
       stack.pop_back();

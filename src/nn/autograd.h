@@ -8,6 +8,10 @@
 // This is the substrate standing in for PyTorch (DESIGN.md §3): the op
 // set is exactly what PPO with a masked categorical policy needs, and
 // every op's gradient is finite-difference-checked in tests/nn/.
+//
+// Gradients flow only where they can reach a requires_grad leaf. A node
+// that cannot (a constant, or an op over constants only) never receives
+// a .grad, and matmul never computes the input-side product for it.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +41,39 @@ class Variable {
   /// Reads this->grad, accumulates into parents' grads. Null for leaves.
   std::function<void()> backward_fn;
 
-  /// Accumulate g into grad (allocating on first use).
+  /// Whether gradient flows into this node: a requires_grad leaf, or an
+  /// op with at least one such node below it.
+  bool tracks_grad() const { return requires_grad || !parents.empty(); }
+  /// Accumulate g into grad (allocating on first use); a no-op on nodes
+  /// that do not track gradients.
   void accumulate_grad(const Tensor& g);
   bool has_grad() const { return grad.size() == value.size() && grad.size() > 0; }
   void zero_grad();
+};
+
+/// A partition of a stacked tensor's rows into consecutive segments:
+/// segment i is rows [offsets[i], offsets[i + 1]). A graph built over a
+/// stack of independent inputs (one segment each) passes it to the ops
+/// that reduce over rows into a parameter gradient — matmul's dB and the
+/// row-broadcast add's db. Those ops sum each segment's rows from zero
+/// and add the segment sums into .grad in segment order, which is
+/// exactly the floating-point sum that one graph and one backward per
+/// input would have produced. Row-wise results (forward values, dA,
+/// activation masks) do not depend on segments. An empty Segments means
+/// one segment spanning every row.
+struct Segments {
+  std::vector<std::size_t> offsets;
+
+  bool empty() const { return offsets.size() < 2; }
+  std::size_t count() const { return empty() ? 0 : offsets.size() - 1; }
+  std::size_t begin(std::size_t i) const { return offsets[i]; }
+  std::size_t end(std::size_t i) const { return offsets[i + 1]; }
+  std::size_t rows(std::size_t i) const { return end(i) - begin(i); }
+  std::size_t total_rows() const { return empty() ? 0 : offsets.back(); }
+  /// Append a segment of `rows` rows after the last one.
+  void push(std::size_t rows);
+  /// `count` consecutive segments of `rows_each` rows.
+  static Segments uniform(std::size_t count, std::size_t rows_each);
 };
 
 /// Leaf node; set requires_grad for parameters.
@@ -50,15 +83,18 @@ VarPtr constant(Tensor value);
 VarPtr scalar(double v);
 
 /// Elementwise a + b. b may also be 1 x cols (row broadcast over a's
-/// rows, the Linear bias case) or 1 x 1 (scalar broadcast).
-VarPtr add(const VarPtr& a, const VarPtr& b);
+/// rows, the Linear bias case) or 1 x 1 (scalar broadcast). With `seg`,
+/// a row-broadcast b's gradient is summed one segment at a time.
+VarPtr add(const VarPtr& a, const VarPtr& b, const Segments& seg = {});
 /// a - b (same broadcast rules via add/neg).
 VarPtr sub(const VarPtr& a, const VarPtr& b);
 /// Elementwise product, same shape only.
 VarPtr mul(const VarPtr& a, const VarPtr& b);
 VarPtr mul_scalar(const VarPtr& a, double s);
 VarPtr neg(const VarPtr& a);
-VarPtr matmul(const VarPtr& a, const VarPtr& b);
+/// a * b. With `seg` (a partition of a's rows), b's gradient a^T g is
+/// summed one segment at a time.
+VarPtr matmul(const VarPtr& a, const VarPtr& b, const Segments& seg = {});
 
 VarPtr relu(const VarPtr& a);
 VarPtr tanh_act(const VarPtr& a);
@@ -80,6 +116,9 @@ VarPtr minimum(const VarPtr& a, const VarPtr& b);
 
 /// Select one element as a 1 x 1 variable.
 VarPtr pick(const VarPtr& a, std::size_t r, std::size_t c);
+/// Rows [begin, begin + count) of a as a new variable; the gradient adds
+/// back into those rows only.
+VarPtr slice_rows(const VarPtr& a, std::size_t begin, std::size_t count);
 /// Copy-reshape (gradient reshapes back).
 VarPtr reshape(const VarPtr& a, std::size_t rows, std::size_t cols);
 

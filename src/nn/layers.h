@@ -22,8 +22,9 @@ class Linear {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  /// x: [batch x in] -> [batch x out].
-  VarPtr forward(const VarPtr& x) const;
+  /// x: [batch x in] -> [batch x out]. `seg` partitions x's rows into
+  /// independent inputs (see nn::Segments) for the parameter gradients.
+  VarPtr forward(const VarPtr& x, const Segments& seg = {}) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -52,7 +53,10 @@ class Mlp {
   Mlp(const std::vector<std::size_t>& dims, Activation hidden_activation,
       util::Rng& rng);
 
-  VarPtr forward(const VarPtr& x) const;
+  /// Graph forward over x's rows. With `seg`, each segment of rows is an
+  /// independent input: one backward through the stacked graph leaves the
+  /// same parameter .grad bits as one graph and backward per segment.
+  VarPtr forward(const VarPtr& x, const Segments& seg = {}) const;
   /// Value-only forward (no graph construction) for rollout collection.
   /// `x` may hold any number of rows — the whole batch goes through one
   /// matrix-matrix pass per layer. Bit-identical per row to a

@@ -44,6 +44,45 @@ double Tensor::item() const {
   return data_[0];
 }
 
+namespace {
+
+// The matmul kernels. Every one accumulates each output element over k
+// in increasing order and skips zero A entries, so all layouts give the
+// same bits as the naive definition; only the loop nesting differs.
+
+/// out (m x n) += A (m x k) * B (k x n): i-k-j, streaming B and OUT rows.
+void kernel_nn(const double* a, const double* b, double* out, std::size_t m,
+               std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * k;
+    double* orow = out + i * n;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const double aik = arow[kk];
+      if (aik == 0.0) continue;
+      const double* brow = b + kk * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
+    }
+  }
+}
+
+/// out (m x n) += A^T B for A (k x m), B (k x n): k outer, so both
+/// operands are read row by row.
+void kernel_tn(const double* a, const double* b, double* out, std::size_t m,
+               std::size_t k, std::size_t n) {
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* arow = a + kk * m;
+    const double* brow = b + kk * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double aik = arow[i];
+      if (aik == 0.0) continue;
+      double* orow = out + i * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
+    }
+  }
+}
+
+}  // namespace
+
 void Tensor::matmul_into(const Tensor& a, const Tensor& b, Tensor& out, bool trans_a,
                          bool trans_b, bool accumulate) {
   const std::size_t m = trans_a ? a.cols_ : a.rows_;
@@ -65,22 +104,32 @@ void Tensor::matmul_into(const Tensor& a, const Tensor& b, Tensor& out, bool tra
   } else if (!accumulate) {
     out.fill(0.0);
   }
-  // i-k-j ordering keeps the inner loop streaming over contiguous rows
-  // of B and OUT for the common non-transposed case.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = trans_a ? a.at(kk, i) : a.at(i, kk);
-      if (aik == 0.0) continue;
-      if (!trans_b) {
-        const double* brow = b.data_.data() + kk * b.cols_;
-        double* orow = out.data_.data() + i * out.cols_;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-      } else {
-        double* orow = out.data_.data() + i * out.cols_;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += aik * b.at(j, kk);
-      }
-    }
+  // A transposed B is copied once so the inner loop streams its rows.
+  const Tensor bt = trans_b ? b.transpose() : Tensor();
+  const double* bp = trans_b ? bt.data_.data() : b.data_.data();
+  if (trans_a) {
+    kernel_tn(a.data_.data(), bp, out.data_.data(), m, k, n);
+  } else {
+    kernel_nn(a.data_.data(), bp, out.data_.data(), m, k, n);
   }
+}
+
+void Tensor::matmul_tn_rows(const Tensor& a, const Tensor& b, std::size_t begin,
+                            std::size_t end, Tensor& out) {
+  if (a.rows_ != b.rows_ || begin > end || end > a.rows_) {
+    throw std::invalid_argument("matmul_tn_rows: rows [" + std::to_string(begin) + ", " +
+                                std::to_string(end) + ") of " + a.shape_str() + " and " +
+                                b.shape_str());
+  }
+  if (out.rows_ != a.cols_ || out.cols_ != b.cols_) {
+    out.rows_ = a.cols_;
+    out.cols_ = b.cols_;
+    out.data_.assign(out.rows_ * out.cols_, 0.0);
+  } else {
+    out.fill(0.0);
+  }
+  kernel_tn(a.data_.data() + begin * a.cols_, b.data_.data() + begin * b.cols_,
+            out.data_.data(), a.cols_, end - begin, b.cols_);
 }
 
 Tensor Tensor::matmul(const Tensor& other) const {

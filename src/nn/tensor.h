@@ -1,8 +1,11 @@
 // Dense row-major 2-D tensor of doubles — the numeric substrate for the
 // autograd library. Networks in this project are tiny (a kernel MLP that
 // scores one job vector at a time), so clarity and testability win over
-// raw throughput; the matmul kernel still uses a cache-friendly i-k-j
-// loop so PPO updates stay fast enough to train in seconds.
+// raw throughput. matmul has one straight-line kernel per layout: i-k-j
+// for A*B, k-outer for A^T*B (both operands read row by row), and one
+// transposed copy of B for the *B^T layouts. Every kernel sums each
+// output over k in increasing order and skips zero A entries, so all
+// layouts agree bit for bit with each other and with a naive loop.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +54,11 @@ class Tensor {
   static void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
                           bool trans_a = false, bool trans_b = false,
                           bool accumulate = false);
+  /// out = A[begin, end)^T * B[begin, end): the product over one range of
+  /// rows shared by A and B, summed over those rows in increasing order
+  /// starting from zero. out is reshaped to A.cols x B.cols.
+  static void matmul_tn_rows(const Tensor& a, const Tensor& b, std::size_t begin,
+                             std::size_t end, Tensor& out);
   Tensor matmul(const Tensor& other) const;
   Tensor transpose() const;
 

@@ -4,7 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/trace.h"
+
 namespace rlbf::rl {
+
+nn::VarPtr ActorCritic::policy_logits(const nn::Tensor& policy_obs) const {
+  return policy_logits(policy_obs, nn::Segments::uniform(1, policy_obs.rows()));
+}
 
 std::vector<nn::Tensor> ActorCritic::policy_logits_nograd_batch(
     const std::vector<const nn::Tensor*>& obs) const {
@@ -87,8 +93,31 @@ Ppo::Ppo(ActorCritic& model, const PpoConfig& config, util::ThreadPool* pool)
 
 void Ppo::policy_shard(const std::vector<Step*>& steps, ActorCritic& replica,
                        ShardGrads& out) const {
-  for (const Step* s : steps) {
-    const nn::VarPtr logits = replica.policy_logits(s->policy_obs);
+  if (steps.empty()) return;
+  obs::Span span("policy_shard", "rl");
+  // One stacked forward and one backward for the whole shard. Each step's
+  // observation is one segment of the stack, so the parameter gradients
+  // keep the per-step partial sums a graph per step produced (see
+  // ActorCritic::policy_logits); the loss chain below is per step, and
+  // every step's loss receives gradient 1 from the sum.
+  nn::Segments seg;
+  seg.offsets.reserve(steps.size() + 1);
+  for (const Step* s : steps) seg.push(s->policy_obs.rows());
+  const std::size_t cols = steps.front()->policy_obs.cols();
+  nn::Tensor stacked(seg.total_rows(), cols);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const nn::Tensor& o = steps[i]->policy_obs;
+    if (o.cols() != cols) {
+      throw std::invalid_argument("policy_shard: ragged observations");
+    }
+    std::copy(o.data().begin(), o.data().end(),
+              stacked.data().begin() + static_cast<std::ptrdiff_t>(seg.begin(i) * cols));
+  }
+  const nn::VarPtr logits_all = replica.policy_logits(stacked, seg);
+  nn::VarPtr total;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step* s = steps[i];
+    const nn::VarPtr logits = nn::slice_rows(logits_all, seg.begin(i), seg.rows(i));
     const nn::VarPtr logp_all = nn::masked_log_softmax(logits, s->mask);
     const nn::VarPtr logp_a = nn::pick(logp_all, s->action, 0);
     const nn::VarPtr ratio = nn::exp_act(nn::sub(logp_a, nn::scalar(s->log_prob)));
@@ -102,7 +131,6 @@ void Ppo::policy_shard(const std::vector<Step*>& steps, ActorCritic& replica,
       loss = nn::sub(loss, nn::mul_scalar(entropy, config_.entropy_coef));
     }
     loss = nn::mul_scalar(loss, out.inv_batch);
-    nn::backward(loss);
 
     out.loss_sum += loss->value.item() / out.inv_batch;
     out.kl_sum += s->log_prob - logp_a->value.item();
@@ -110,12 +138,15 @@ void Ppo::policy_shard(const std::vector<Step*>& steps, ActorCritic& replica,
     const double r = ratio->value.item();
     if (r < 1.0 - config_.clip_ratio || r > 1.0 + config_.clip_ratio) ++out.clip_count;
     ++out.n;
+    total = total == nullptr ? loss : nn::add(total, loss);
   }
+  nn::backward(total);
 }
 
 void Ppo::value_shard(const std::vector<Step*>& steps, ActorCritic& replica,
                       ShardGrads& out) const {
   if (steps.empty()) return;
+  obs::Span span("value_shard", "rl");
   // One batched critic forward for the whole shard instead of a graph
   // pass per step. This is bit-identical to the historical per-step
   // loop: forward rows are row-independent; the weight/bias gradient of
@@ -182,7 +213,6 @@ PpoStats Ppo::update(RolloutBuffer& buffer, util::Rng& rng) {
     ShardGrads total;
     total.inv_batch = 1.0 / static_cast<double>(mb.size());
     if (pool_ == nullptr || replicas_.empty() || mb.size() < 64) {
-      total.inv_batch = 1.0 / static_cast<double>(mb.size());
       if (policy) {
         policy_shard(mb, model_, total);
       } else {
@@ -206,6 +236,7 @@ PpoStats Ppo::update(RolloutBuffer& buffer, util::Rng& rng) {
         value_shard(slices[k], replica, grads[k]);
       }
     });
+    obs::Span reduce_span("shard_reduce", "rl");
     std::vector<std::vector<nn::VarPtr>> replica_params;
     replica_params.reserve(shards);
     for (std::size_t k = 0; k < shards; ++k) {
@@ -238,6 +269,7 @@ PpoStats Ppo::update(RolloutBuffer& buffer, util::Rng& rng) {
       // SpinningUp convention: stop before applying this update.
       break;
     }
+    obs::Span step_span("optimizer_step", "rl");
     stats.grad_norm = policy_opt_.clip_grad_norm(config_.max_grad_norm);
     policy_opt_.step();
     ++stats.policy_iters;
@@ -249,6 +281,7 @@ PpoStats Ppo::update(RolloutBuffer& buffer, util::Rng& rng) {
     value_opt_.zero_grad();
     const ShardGrads g = run_batch(mb, /*policy=*/false);
     stats.value_loss = g.loss_sum / static_cast<double>(std::max<std::size_t>(g.n, 1));
+    obs::Span step_span("optimizer_step", "rl");
     value_opt_.clip_grad_norm(config_.max_grad_norm);
     value_opt_.step();
     ++stats.value_iters;

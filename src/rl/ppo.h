@@ -8,7 +8,9 @@
 // candidates: the ActorCritic scores each observation row and PPO
 // renormalizes over the step's valid-action mask. Updates can fan out
 // over a thread pool (per-thread model replicas, gradient reduction on
-// the caller thread).
+// the caller thread). Each policy shard runs as one stacked graph with a
+// single backward (see ActorCritic::policy_logits), bit-identical to a
+// graph and backward per step.
 #pragma once
 
 #include <memory>
@@ -25,8 +27,19 @@ class ActorCritic {
  public:
   virtual ~ActorCritic() = default;
 
-  /// Logits column (rows x 1) over the observation's rows, as a graph.
-  virtual nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const = 0;
+  /// Logits over a stack of observations, as ONE graph. `stacked` holds
+  /// the observations' rows one after another and segment i of `seg` is
+  /// observation i's rows. The result is one logits column with the same
+  /// row layout: segment i's rows hold observation i's logits, bit for
+  /// bit what a graph over observation i alone would give, and one
+  /// backward through any sum of per-observation losses leaves the same
+  /// parameter gradients as a backward per observation (see
+  /// nn::Segments).
+  virtual nn::VarPtr policy_logits(const nn::Tensor& stacked,
+                                   const nn::Segments& seg) const = 0;
+  /// Logits column (rows x 1) over one observation's rows: a one-segment
+  /// stack.
+  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const;
   /// Critic estimate (1 x 1) of the flattened observation, as a graph.
   virtual nn::VarPtr value(const nn::Tensor& value_obs) const = 0;
 

@@ -364,6 +364,68 @@ else()
   math(EXPR failures "${failures} + 1")
 endif()
 
+# The PPO update names its phases in a training trace, and tracing
+# leaves the trained model's store bytes untouched.
+foreach(mode off on)
+  file(MAKE_DIRECTORY "${WORK_DIR}/train_trace_${mode}")
+  set(extra)
+  if(mode STREQUAL "on")
+    set(extra --trace_out=train.trace.json)
+  endif()
+  execute_process(
+    COMMAND "${RLBF_RUN}" train --spec=sdsc-tiny --store=store --quiet ${extra}
+    WORKING_DIRECTORY "${WORK_DIR}/train_trace_${mode}"
+    OUTPUT_QUIET
+    ERROR_VARIABLE train_trace_err
+    RESULT_VARIABLE train_trace_rc)
+  if(NOT train_trace_rc EQUAL 0)
+    message(FATAL_ERROR "train trace: ${mode} run failed (${train_trace_rc})\n"
+                        "${train_trace_err}")
+  endif()
+endforeach()
+set(train_trace_ok 1)
+file(GLOB stored RELATIVE "${WORK_DIR}/train_trace_off/store"
+     "${WORK_DIR}/train_trace_off/store/*.model"
+     "${WORK_DIR}/train_trace_off/store/*.spec")
+list(LENGTH stored stored_count)
+if(NOT stored_count EQUAL 2)
+  set(train_trace_ok 0)
+  message(WARNING "train trace: expected one .model and one .spec, got '${stored}'")
+endif()
+foreach(file ${stored})
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${WORK_DIR}/train_trace_off/store/${file}"
+            "${WORK_DIR}/train_trace_on/store/${file}"
+    RESULT_VARIABLE train_trace_same)
+  if(NOT train_trace_same EQUAL 0)
+    set(train_trace_ok 0)
+    message(WARNING "train trace: store/${file} differs with --trace_out")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${RLBF_RUN}" profile train.trace.json
+  WORKING_DIRECTORY "${WORK_DIR}/train_trace_on"
+  OUTPUT_VARIABLE train_profile
+  ERROR_VARIABLE train_profile_err
+  RESULT_VARIABLE train_profile_rc)
+if(NOT train_profile_rc EQUAL 0)
+  set(train_trace_ok 0)
+  message(WARNING "train trace: profile failed (${train_profile_rc})\n"
+                  "${train_profile_err}")
+endif()
+foreach(span policy_shard value_shard shard_reduce optimizer_step)
+  if(NOT train_profile MATCHES "(^|\n)${span} ")
+    set(train_trace_ok 0)
+    message(WARNING "train trace: profile lacks the ${span} span:\n${train_profile}")
+  endif()
+endforeach()
+if(train_trace_ok)
+  message(STATUS "train trace update spans + store byte-identity: ok")
+else()
+  math(EXPR failures "${failures} + 1")
+endif()
+
 # A metrics sink that cannot be written is a loud exit-1 failure, after
 # the run's real work.
 expect_failure("unwritable metrics_out" "cannot write --metrics_out"

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 namespace rlbf::core {
 namespace {
 
@@ -136,6 +139,109 @@ TEST(FlatNet, IsOrderSensitiveUnlikeKernel) {
   double permuted_diff = std::abs(swapped_logits.at(0, 0) - logits.at(1, 0)) +
                          std::abs(swapped_logits.at(1, 0) - logits.at(0, 0));
   EXPECT_GT(permuted_diff, 1e-9);
+}
+
+// One stacked policy graph over several observations (one segment each)
+// and ONE backward must leave the policy gradients a graph and backward
+// per observation left, bit for bit — the PPO policy update relies on it.
+void expect_stacked_policy_parity(const rl::ActorCritic& model,
+                                  const std::vector<nn::Tensor>& obs) {
+  const auto reference = model.clone();
+  const auto stacked_model = model.clone();
+  util::Rng rng(99);
+  std::vector<std::vector<std::uint8_t>> masks;
+  std::vector<std::size_t> actions;
+  for (const nn::Tensor& o : obs) {
+    std::vector<std::uint8_t> mask(o.rows(), 1);
+    for (std::size_t r = 1; r < o.rows(); r += 3) mask[r] = 0;
+    masks.push_back(mask);
+    actions.push_back(0);
+  }
+  const auto step_loss = [&](const nn::VarPtr& logits, std::size_t i) {
+    const nn::VarPtr logp = nn::masked_log_softmax(logits, masks[i]);
+    return nn::sub(nn::exp_act(nn::pick(logp, actions[i], 0)),
+                   nn::mul_scalar(nn::masked_entropy(logp, masks[i]), 0.01));
+  };
+
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    nn::backward(step_loss(reference->policy_logits(obs[i]), i));
+  }
+
+  nn::Segments seg;
+  for (const nn::Tensor& o : obs) seg.push(o.rows());
+  nn::Tensor stacked(seg.total_rows(), obs.front().cols());
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    std::copy(obs[i].data().begin(), obs[i].data().end(),
+              stacked.data().begin() +
+                  static_cast<std::ptrdiff_t>(seg.begin(i) * stacked.cols()));
+  }
+  const nn::VarPtr logits = stacked_model->policy_logits(stacked, seg);
+  nn::VarPtr total;
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const nn::VarPtr loss =
+        step_loss(nn::slice_rows(logits, seg.begin(i), seg.rows(i)), i);
+    EXPECT_EQ(loss->value.item(),
+              step_loss(reference->policy_logits(obs[i]), i)->value.item());
+    total = total == nullptr ? loss : nn::add(total, loss);
+  }
+  nn::backward(total);
+
+  const auto want = reference->policy_parameters();
+  const auto got = stacked_model->policy_parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ASSERT_TRUE(want[p]->has_grad());
+    ASSERT_TRUE(got[p]->grad.same_shape(want[p]->grad));
+    EXPECT_EQ(std::memcmp(got[p]->grad.data().data(), want[p]->grad.data().data(),
+                          want[p]->grad.size() * sizeof(double)),
+              0)
+        << "policy parameter " << p;
+  }
+  for (const auto& v : stacked_model->value_parameters()) EXPECT_FALSE(v->has_grad());
+}
+
+TEST(KernelNet, StackedPolicyGradientsMatchPerObservationBackward) {
+  util::Rng rng(12);
+  KernelActorCritic model(small_obs(), NetworkConfig{}, rng);
+  std::vector<nn::Tensor> obs;
+  for (std::size_t rows : {4u, 1u, 9u, 3u, 8u, 2u}) {
+    obs.push_back(nn::Tensor::randn(rows, ObservationConfig::kFeatures, rng));
+  }
+  obs[3].fill(0.0);  // an all-zero observation contributes only via biases
+  expect_stacked_policy_parity(model, obs);
+}
+
+TEST(FlatNet, StackedPolicyGradientsMatchPerObservationBackward) {
+  util::Rng rng(13);
+  const ObservationConfig cfg = small_obs(true);
+  FlatActorCritic model(cfg, NetworkConfig{}, rng);
+  std::vector<nn::Tensor> obs;
+  for (int i = 0; i < 5; ++i) {
+    obs.push_back(
+        nn::Tensor::randn(cfg.padded_policy_rows(), ObservationConfig::kFeatures, rng));
+  }
+  obs[1].fill(0.0);
+  expect_stacked_policy_parity(model, obs);
+}
+
+TEST(Networks, StackedPolicyLogitsRejectBadSegments) {
+  util::Rng rng(14);
+  KernelActorCritic kernel(small_obs(), NetworkConfig{}, rng);
+  const nn::Tensor obs = nn::Tensor::randn(5, ObservationConfig::kFeatures, rng);
+  EXPECT_THROW(kernel.policy_logits(obs, nn::Segments{}), std::invalid_argument);
+  EXPECT_THROW(kernel.policy_logits(obs, nn::Segments::uniform(2, 2)),
+               std::invalid_argument);
+  const ObservationConfig cfg = small_obs(true);
+  FlatActorCritic flat(cfg, NetworkConfig{}, rng);
+  const nn::Tensor two = nn::Tensor::randn(2 * cfg.padded_policy_rows(),
+                                           ObservationConfig::kFeatures, rng);
+  nn::Segments ragged;
+  ragged.push(cfg.padded_policy_rows() - 1);
+  ragged.push(cfg.padded_policy_rows() + 1);
+  EXPECT_THROW(flat.policy_logits(two, ragged), std::invalid_argument);
+  EXPECT_EQ(flat.policy_logits(two, nn::Segments::uniform(2, cfg.padded_policy_rows()))
+                ->value.rows(),
+            two.rows());
 }
 
 TEST(Networks, SyncFromWrongTypeThrows) {

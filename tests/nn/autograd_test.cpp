@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 namespace rlbf::nn {
@@ -260,6 +261,67 @@ TEST(Autograd, NoGradThroughConstants) {
   auto y = sum(mul_scalar(c, 3.0));
   backward(y);
   EXPECT_FALSE(c->has_grad());
+}
+
+TEST(Autograd, ConstantMatmulInputGetsNoGradAndLeavesWeightGradUnchanged) {
+  util::Rng rng(41);
+  Tensor x = Tensor::randn(5, 3, rng);
+  x.at(2, 1) = 0.0;
+  const Tensor w0 = Tensor::randn(3, 4, rng);
+  const auto loss = [](const VarPtr& in, const VarPtr& w) {
+    return sum(square(relu(matmul(in, w))));
+  };
+
+  const auto c = constant(x);
+  const auto w_const_input = make_var(w0, true);
+  backward(loss(c, w_const_input));
+  EXPECT_FALSE(c->has_grad());
+
+  // The same graph over a differentiable input forms dA as well; the
+  // weight gradient must not notice the difference.
+  const auto v = make_var(x, true);
+  const auto w_var_input = make_var(w0, true);
+  backward(loss(v, w_var_input));
+  EXPECT_TRUE(v->has_grad());
+  ASSERT_TRUE(w_const_input->grad.same_shape(w_var_input->grad));
+  EXPECT_EQ(std::memcmp(w_const_input->grad.data().data(),
+                        w_var_input->grad.data().data(), w0.size() * sizeof(double)),
+            0);
+}
+
+TEST(Autograd, OpsOverConstantsOnlyTrackNoGradient) {
+  const auto c = constant(Tensor{{1.0, -2.0}});
+  const auto y = matmul(relu(c), constant(Tensor{{3.0}, {4.0}}));
+  EXPECT_FALSE(y->tracks_grad());
+  EXPECT_TRUE(y->parents.empty());
+  y->accumulate_grad(Tensor{{1.0}});
+  EXPECT_FALSE(y->has_grad());
+}
+
+TEST(Autograd, SliceRowsCopiesRowsAndRoutesGradientBack) {
+  auto x = make_var(Tensor{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}}, true);
+  const auto s = slice_rows(x, 1, 2);
+  EXPECT_TRUE(s->value == (Tensor{{3.0, 4.0}, {5.0, 6.0}}));
+  backward(sum(mul(s, constant(Tensor{{1.0, 2.0}, {3.0, 4.0}}))));
+  EXPECT_TRUE(x->grad == (Tensor{{0.0, 0.0}, {1.0, 2.0}, {3.0, 4.0}}));
+  EXPECT_THROW(slice_rows(x, 2, 2), std::out_of_range);
+}
+
+TEST(Autograd, SegmentsMustCoverTheRows) {
+  const auto x = constant(Tensor(4, 2));
+  const auto w = make_var(Tensor(2, 3), true);
+  EXPECT_THROW(matmul(x, w, Segments::uniform(3, 1)), std::invalid_argument);
+  EXPECT_THROW(add(matmul(x, w), make_var(Tensor(1, 3), true), Segments::uniform(1, 5)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(matmul(x, w, Segments::uniform(2, 2)));
+  Segments seg;
+  seg.push(3);
+  seg.push(0);
+  seg.push(1);
+  EXPECT_EQ(seg.count(), 3u);
+  EXPECT_EQ(seg.begin(2), 3u);
+  EXPECT_EQ(seg.rows(1), 0u);
+  EXPECT_EQ(seg.total_rows(), 4u);
 }
 
 TEST(Autograd, GradAccumulatesAcrossBackwardCalls) {

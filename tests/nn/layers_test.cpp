@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 namespace rlbf::nn {
 namespace {
 
@@ -197,6 +200,90 @@ TEST(Mlp, BackwardReachesAllParameters) {
     EXPECT_GT(p->grad.norm(), 0.0);
   }
 }
+
+// ---- segment-exact parameter gradients ----
+// A stacked graph with Segments plus ONE backward must leave the same
+// parameter .grad bits as one graph and one backward per segment; the
+// PPO policy update's bit-identity rests on it.
+
+struct SegmentCase {
+  const char* name;
+  Activation act;
+  std::vector<std::size_t> rows;  // per segment
+  std::size_t zero_segment;       // index of a segment with all-zero rows
+};
+
+void PrintTo(const SegmentCase& c, std::ostream* os) { *os << c.name; }
+
+class MlpSegmentParityTest : public ::testing::TestWithParam<SegmentCase> {};
+
+bool same_grad_bits(const VarPtr& x, const VarPtr& y) {
+  return x->grad.same_shape(y->grad) &&
+         std::memcmp(x->grad.data().data(), y->grad.data().data(),
+                     x->grad.size() * sizeof(double)) == 0;
+}
+
+TEST_P(MlpSegmentParityTest, StackedBackwardMatchesOneBackwardPerSegment) {
+  const SegmentCase& c = GetParam();
+  util::Rng rng(31);
+  const std::size_t in = 6;
+  const Mlp per_segment({in, 16, 8, 3}, c.act, rng);
+  const Mlp stacked = per_segment.clone();
+  // Both start from the same nonzero gradients: the segment sums must
+  // land on top of whatever .grad already holds, in segment order.
+  const auto p_ref = per_segment.parameters();
+  const auto p_new = stacked.parameters();
+  for (std::size_t i = 0; i < p_ref.size(); ++i) {
+    const Tensor g0 = Tensor::randn(p_ref[i]->value.rows(), p_ref[i]->value.cols(), rng);
+    p_ref[i]->accumulate_grad(g0);
+    p_new[i]->accumulate_grad(g0);
+  }
+
+  Segments seg;
+  for (std::size_t r : c.rows) seg.push(r);
+  Tensor x = Tensor::randn(seg.total_rows(), in, rng);
+  for (std::size_t r = seg.begin(c.zero_segment); r < seg.end(c.zero_segment); ++r) {
+    for (std::size_t col = 0; col < in; ++col) x.at(r, col) = 0.0;
+  }
+  std::vector<Tensor> weights;
+  for (std::size_t i = 0; i < seg.count(); ++i) {
+    weights.push_back(Tensor::randn(seg.rows(i), 3, rng));
+  }
+  const auto segment_loss = [&](const VarPtr& out, std::size_t i) {
+    return sum(mul(tanh_act(out), constant(weights[i])));
+  };
+
+  for (std::size_t i = 0; i < seg.count(); ++i) {
+    Tensor xi(seg.rows(i), in);
+    for (std::size_t r = 0; r < seg.rows(i); ++r) {
+      for (std::size_t col = 0; col < in; ++col) {
+        xi.at(r, col) = x.at(seg.begin(i) + r, col);
+      }
+    }
+    backward(segment_loss(per_segment.forward(constant(xi)), i));
+  }
+
+  const VarPtr out = stacked.forward(constant(x), seg);
+  VarPtr total;
+  for (std::size_t i = 0; i < seg.count(); ++i) {
+    const VarPtr loss = segment_loss(slice_rows(out, seg.begin(i), seg.rows(i)), i);
+    total = total == nullptr ? loss : add(total, loss);
+  }
+  backward(total);
+
+  for (std::size_t i = 0; i < p_ref.size(); ++i) {
+    EXPECT_TRUE(same_grad_bits(p_ref[i], p_new[i])) << "parameter " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Segments, MlpSegmentParityTest,
+    ::testing::Values(
+        SegmentCase{"ReluRagged", Activation::Relu, {3, 1, 7, 2, 5, 1, 4}, 3},
+        SegmentCase{"TanhRagged", Activation::Tanh, {2, 6, 1, 3, 9}, 0},
+        SegmentCase{"ReluOneRowSegments", Activation::Relu, {1, 1, 1, 1, 1, 1}, 2},
+        SegmentCase{"TanhSingleSegment", Activation::Tanh, {11}, 0}),
+    [](const ::testing::TestParamInfo<SegmentCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace rlbf::nn

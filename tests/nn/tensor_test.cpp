@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace rlbf::nn {
 namespace {
@@ -67,6 +68,96 @@ TEST(Tensor, MatmulAccumulate) {
   Tensor out = Tensor::full(1, 1, 10.0);
   Tensor::matmul_into(a, b, out, false, false, /*accumulate=*/true);
   EXPECT_DOUBLE_EQ(out.item(), 12.0);
+}
+
+// ---- independent oracle for the matmul kernels ----
+
+/// Entries drawn from N(0, 1), with exact zeros and negative zeros mixed
+/// in: the kernels skip zero A entries, and a skipped term must leave the
+/// same bits as the naive sum.
+Tensor oracle_input(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  Tensor t(rows, cols);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double u = rng.uniform(0.0, 1.0);
+    t[i] = u < 0.2 ? 0.0 : u < 0.3 ? -0.0 : rng.normal(0.0, 1.0);
+  }
+  return t;
+}
+
+/// out (+)= op(A) op(B) by the definition: each output summed over k in
+/// increasing order from its start value, skipping zero A entries.
+Tensor naive_matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
+                    const Tensor* start) {
+  const std::size_t m = trans_a ? a.cols() : a.rows();
+  const std::size_t k = trans_a ? a.rows() : a.cols();
+  const std::size_t n = trans_b ? b.rows() : b.cols();
+  Tensor out = start != nullptr ? *start : Tensor(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = out.at(i, j);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const double aik = trans_a ? a.at(kk, i) : a.at(i, kk);
+        if (aik == 0.0) continue;
+        acc += aik * (trans_b ? b.at(j, kk) : b.at(kk, j));
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data().data(), y.data().data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(Tensor, MatmulKernelsMatchNaiveOracleBitwise) {
+  util::Rng rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto dim = [&] { return static_cast<std::size_t>(rng.uniform_int(1, 9)); };
+    const std::size_t m = dim(), k = dim(), n = dim();
+    const bool trans_a = trial % 2 == 1;
+    const bool trans_b = trial % 4 >= 2;
+    const bool accumulate = trial % 8 >= 4;
+    const Tensor a = trans_a ? oracle_input(k, m, rng) : oracle_input(m, k, rng);
+    const Tensor b = trans_b ? oracle_input(n, k, rng) : oracle_input(k, n, rng);
+    const Tensor start = oracle_input(m, n, rng);
+
+    Tensor out = accumulate ? start : Tensor(3, 2, 7.0);  // stale shape is replaced
+    Tensor::matmul_into(a, b, out, trans_a, trans_b, accumulate);
+    const Tensor want =
+        naive_matmul(a, b, trans_a, trans_b, accumulate ? &start : nullptr);
+    ASSERT_TRUE(same_bits(out, want))
+        << m << "x" << k << "x" << n << " trans_a=" << trans_a << " trans_b=" << trans_b
+        << " accumulate=" << accumulate;
+  }
+}
+
+TEST(Tensor, MatmulTnRowsMatchesOracleOverTheRange) {
+  util::Rng rng(12);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto rows = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const Tensor a = oracle_input(rows, m, rng);
+    const Tensor b = oracle_input(rows, n, rng);
+    const auto begin = static_cast<std::size_t>(rng.uniform_int(0, rows - 1));
+    const auto end = static_cast<std::size_t>(rng.uniform_int(begin + 1, rows));
+
+    Tensor a_part(end - begin, m), b_part(end - begin, n);
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < m; ++c) a_part.at(r - begin, c) = a.at(r, c);
+      for (std::size_t c = 0; c < n; ++c) b_part.at(r - begin, c) = b.at(r, c);
+    }
+    Tensor out = Tensor::full(m, n, 5.0);  // overwritten, not accumulated
+    Tensor::matmul_tn_rows(a, b, begin, end, out);
+    ASSERT_TRUE(same_bits(out, naive_matmul(a_part, b_part, true, false, nullptr)));
+  }
+  Tensor out;
+  EXPECT_THROW(Tensor::matmul_tn_rows(Tensor(3, 2), Tensor(4, 2), 0, 3, out),
+               std::invalid_argument);
+  EXPECT_THROW(Tensor::matmul_tn_rows(Tensor(3, 2), Tensor(3, 2), 2, 4, out),
+               std::invalid_argument);
 }
 
 TEST(Tensor, Transpose) {

@@ -23,8 +23,10 @@ class TestActorCritic final : public ActorCritic {
   TestActorCritic(nn::Mlp p, nn::Mlp v)
       : rng_(0), policy_(std::move(p)), value_(std::move(v)) {}
 
-  nn::VarPtr policy_logits(const nn::Tensor& obs) const override {
-    return policy_.forward(nn::constant(obs));
+  using ActorCritic::policy_logits;
+  nn::VarPtr policy_logits(const nn::Tensor& stacked,
+                           const nn::Segments& seg) const override {
+    return policy_.forward(nn::constant(stacked), seg);
   }
   nn::VarPtr value(const nn::Tensor& obs) const override {
     return value_.forward(nn::constant(obs));
