@@ -66,7 +66,7 @@ std::optional<std::size_t> TrainingEnv::choose(const sim::BackfillContext& ctx) 
 
   std::size_t row;
   double log_prob;
-  switch (config_.effective_selection()) {
+  switch (config_.selection) {
     case ActionSelection::SampleSoftmax: {
       const rl::CategoricalSample s = rl::sample_masked(logits, po.mask, rng_);
       row = s.action;

@@ -78,15 +78,6 @@ struct EnvConfig {
   /// re-sets it per epoch from its decay schedule.
   double epsilon = 0.1;
 
-  /// Back-compat alias: sample (training) vs argmax (greedy evaluation).
-  bool sample_actions = true;
-
-  ActionSelection effective_selection() const {
-    if (selection == ActionSelection::SampleSoftmax && !sample_actions) {
-      return ActionSelection::Greedy;
-    }
-    return selection;
-  }
   bool mask_delaying() const { return delay_rule == DelayRule::HardMask; }
 };
 

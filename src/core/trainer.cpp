@@ -73,8 +73,11 @@ EpochStats Trainer::run_epoch() {
   ctx.estimator = &estimator_;
   ctx.env = algorithm_.collection_env(config_.env, stats.epsilon);
   ctx.jobs_per_trajectory = config_.jobs_per_trajectory;
-  std::vector<rl::SequenceResult> results =
-      collect_sequences(*collector_, plan, ctx, agent_);
+  std::vector<rl::SequenceResult> results;
+  {
+    obs::Span collect_span("collect", "train");
+    results = collect_sequences(*collector_, plan, ctx, agent_);
+  }
 
   double sum_bsld = 0.0, sum_base = 0.0, sum_reward = 0.0;
   for (auto& r : results) {
@@ -89,7 +92,10 @@ EpochStats Trainer::run_epoch() {
   stats.mean_baseline_bsld = sum_base / n;
   stats.mean_reward = sum_reward / n;
 
-  learner_->update(rng_, stats);
+  {
+    obs::Span update_span("update", "train");
+    learner_->update(rng_, stats);
+  }
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (obs::enabled()) {

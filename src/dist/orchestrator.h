@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,18 @@ struct OrchestratorOptions {
   /// straggler analysis can replay the run's timing shape per job — the
   /// registry histograms only keep the distribution.
   obs::SeriesRecorder* series = nullptr;
+};
+
+/// One worker fan-out, as `rlbf_run orchestrate`, `train --workers` and
+/// `train --rollout_workers` each configure it: what to plan, how to
+/// supervise the planned jobs, and the transport they launch on (a
+/// LocalLauncher pool or a CommandLauncher over hosts, built by the
+/// caller). model::TrainOptions::rollout carries one; its default
+/// (plan.workers == 0) means no fan-out.
+struct Fanout {
+  PlanOptions plan;
+  OrchestratorOptions supervise;
+  std::shared_ptr<Launcher> launcher;
 };
 
 /// The flag an injected-failure attempt appends; unknown to every

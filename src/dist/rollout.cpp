@@ -1,10 +1,8 @@
 #include "dist/rollout.h"
 
-#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 
-#include "dist/orchestrator.h"
 #include "exp/config.h"
 #include "model/training_spec.h"
 #include "rl/wire.h"
@@ -52,28 +50,15 @@ std::string rollout_request_fingerprint(
   return model::fnv1a_hex(canonical);
 }
 
-ProcessCollector::ProcessCollector(RolloutTransportOptions options)
-    : options_(std::move(options)) {
-  if (options_.worker.empty()) {
-    throw std::invalid_argument("rollout transport: empty worker binary");
-  }
-  if (options_.work_dir.empty()) {
-    throw std::invalid_argument("rollout transport: empty work_dir");
-  }
-  if (options_.workers == 0) {
-    throw std::invalid_argument("rollout transport: workers must be >= 1");
-  }
-  if (!options_.command_template.empty()) {
-    // CommandLauncher validates templates and hosts at construction.
-    launcher_ = std::make_unique<CommandLauncher>(
-        options_.command_template, options_.hosts, options_.fetch_template,
-        options_.timeout_seconds);
-  } else {
-    if (!options_.hosts.empty()) {
-      throw std::invalid_argument(
-          "rollout transport: hosts given without a command template");
-    }
-    launcher_ = std::make_unique<LocalLauncher>(options_.timeout_seconds);
+ProcessCollector::ProcessCollector(PlanOptions plan,
+                                   OrchestratorOptions supervise,
+                                   std::shared_ptr<Launcher> launcher)
+    : plan_(std::move(plan)),
+      supervise_(std::move(supervise)),
+      launcher_(std::move(launcher)) {
+  plan_.validate("rollout transport");
+  if (!launcher_) {
+    throw std::invalid_argument("rollout transport: no launcher");
   }
 }
 
@@ -88,93 +73,36 @@ std::vector<rl::SequenceResult> ProcessCollector::collect(
         "rollout transport: set_save_model not installed before collect()");
   }
 
-  std::filesystem::create_directories(options_.work_dir);
-  const std::size_t epoch = plan.epoch;
+  std::filesystem::create_directories(plan_.work_dir);
   const std::string model_path =
-      options_.work_dir + "/epoch" + std::to_string(epoch) + ".model";
+      plan_.work_dir + "/epoch" + std::to_string(plan.epoch) + ".model";
   save_model_(model_path);
 
-  // Round-robin by sequence index: worker w owns {i : i % W == w}. The
-  // assignment is part of the determinism contract (ISSUE: store keys
-  // identical across --rollout_workers=0/1/N), not a scheduling choice.
-  const std::size_t n_workers = std::min(options_.workers, n);
-  std::vector<std::vector<std::uint64_t>> worker_seeds(n_workers);
-  for (std::size_t i = 0; i < n; ++i) {
-    worker_seeds[i % n_workers].push_back(plan.seeds[i]);
-  }
-
-  std::vector<JobSpec> epoch_jobs;
-  std::vector<std::string> fingerprints;
-  epoch_jobs.reserve(n_workers);
-  fingerprints.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    JobSpec job;
-    // Ids unique across epochs (epoch is 1-based in plans) so fleet-obs
-    // labels never collide and --inject_fail=0:1 hits epoch 1 worker 0.
-    job.id = (epoch >= 1 ? epoch - 1 : 0) * n_workers + w;
-    job.name = "rollout-e" + std::to_string(epoch) + "-w" + std::to_string(w) +
-               "/" + std::to_string(n_workers);
-    job.output_dir = options_.work_dir + "/e" + std::to_string(epoch) + ".w" +
-                     std::to_string(w);
-    const std::string out_path = job.output_dir + "/rollouts.bin";
-    const std::string fingerprint = rollout_request_fingerprint(
-        options_.worker_args, epoch, w, worker_seeds[w]);
-    fingerprints.push_back(fingerprint);
-
-    job.argv = {options_.worker, "collect-rollouts"};
-    job.argv.insert(job.argv.end(), options_.worker_args.begin(),
-                    options_.worker_args.end());
-    job.argv.push_back("--seeds=" + format_seed_list(worker_seeds[w]));
-    job.argv.push_back("--model=" + model_path);
-    job.argv.push_back("--epoch=" + std::to_string(epoch));
-    job.argv.push_back("--out=" + out_path);
-    job.argv.push_back("--fingerprint=" + fingerprint);
-    if (std::isfinite(plan.epsilon)) {
-      job.argv.push_back("--epsilon=" + exp::format_double_exact(plan.epsilon));
-    }
-    if (options_.worker_metrics) {
-      job.metrics_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                         ".metrics.json";
-      job.argv.push_back("--metrics_out=" + job.metrics_path);
-    }
-    if (options_.worker_trace) {
-      job.trace_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                       ".trace.json";
-      job.argv.push_back("--trace_out=" + job.trace_path);
-    }
-    if (options_.worker_series) {
-      job.series_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                        ".series.jsonl";
-      job.argv.push_back("--series_out=" + job.series_path);
-    }
-    epoch_jobs.push_back(std::move(job));
-  }
-
-  OrchestratorOptions run_options;
-  run_options.max_parallel = n_workers;
-  run_options.max_attempts = options_.retries + 1;
-  run_options.inject_failures = options_.inject_failures;
-  run_options.on_event = options_.on_event;
-  run_options.heartbeat_seconds = options_.heartbeat_seconds;
-  run_options.on_heartbeat = options_.on_heartbeat;
+  const std::vector<JobSpec> epoch_jobs =
+      plan_rollout_jobs(plan_, plan, model_path);
   const OrchestrationReport report =
-      run_jobs(epoch_jobs, *launcher_, run_options);
+      run_jobs(epoch_jobs, *launcher_, supervise_);
   jobs_.insert(jobs_.end(), epoch_jobs.begin(), epoch_jobs.end());
   if (!report.all_ok) {
     throw std::runtime_error("rollout collection failed (epoch " +
-                             std::to_string(epoch) + "):\n" +
+                             std::to_string(plan.epoch) + "):\n" +
                              report.failure_summary());
   }
 
+  const std::size_t n_workers = epoch_jobs.size();
+  const std::vector<std::vector<std::uint64_t>> shares =
+      rollout_seed_shares(plan.seeds, n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
-    const std::string out_path = epoch_jobs[w].output_dir + "/rollouts.bin";
-    std::vector<rl::SequenceResult> worker_results =
-        rl::load_rollouts(out_path, fingerprints[w]);
-    if (worker_results.size() != worker_seeds[w].size()) {
+    const std::string out_path =
+        epoch_jobs[w].output_dir + "/" + kRolloutsFile;
+    std::vector<rl::SequenceResult> worker_results = rl::load_rollouts(
+        out_path,
+        rollout_request_fingerprint(plan_.args, plan.epoch, w, shares[w]));
+    if (worker_results.size() != shares[w].size()) {
       throw rl::WireError(
           "rollout wire: worker " + std::to_string(w) + " returned " +
           std::to_string(worker_results.size()) + " sequence(s), expected " +
-          std::to_string(worker_seeds[w].size()) + " [" + out_path + "]");
+          std::to_string(shares[w].size()) + " [" + out_path + "]");
     }
     // Inverse of the round-robin split: sequence i is the (i/W)-th
     // result of worker i%W.

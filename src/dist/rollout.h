@@ -3,15 +3,16 @@
 // worker subprocesses and reassembles their wire-format responses in
 // sequence order.
 //
-// Per epoch: the learner's current model is checkpointed once to the
-// scratch dir (save_model hook, exact-text round-trip), sequence i goes
-// to worker i % W with its pre-drawn seed, and every worker job runs
-// through the same dist::Launcher / dist::run_jobs machinery as the
-// sweep/train orchestrator — so retries, failure injection, host
-// round-robin, and stderr-tail failure reports come for free. Each
-// worker's response file embeds a request fingerprint (worker args +
-// epoch + worker index + seed subset), so a stale file from a previous
-// epoch on a reused scratch dir can never be consumed.
+// It is one more client of the fan-out path `orchestrate` and
+// `train --workers` use: per epoch, the learner's current model is
+// checkpointed once to the scratch dir (save_model hook, exact-text
+// round-trip), dist::plan_rollout_jobs plans one job per worker (sequence
+// i goes to worker i % W with its pre-drawn seed), and dist::run_jobs
+// supervises them through the caller's launcher — so retries, failure
+// injection, host round-robin, and stderr-tail failure reports are the
+// same code. Each worker's response file embeds a request fingerprint
+// (worker args + epoch + worker index + seed subset), so a stale file
+// from a previous epoch on a reused scratch dir can never be consumed.
 //
 // Because seeds are pre-drawn by the learner and results are indexed by
 // sequence, the reassembled epoch is byte-identical to the in-process
@@ -21,71 +22,28 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dist/job.h"
-#include "dist/launcher.h"
+#include "dist/orchestrator.h"
 #include "rl/collect.h"
 
 namespace rlbf::dist {
-
-/// How the process transport runs its workers. `worker` + `worker_args`
-/// must reconstruct the learner's training setup in another process
-/// (`rlbf_run collect-rollouts --spec=... --seed=...`); the transport
-/// appends the per-epoch flags (--seeds/--model/--out/--fingerprint/
-/// --epoch/--epsilon) itself.
-struct RolloutTransportOptions {
-  /// Worker binary (normally the running rlbf_run itself).
-  std::string worker;
-  /// Subcommand flags that reconstruct the training setup remotely.
-  std::vector<std::string> worker_args;
-  /// Scratch directory for model checkpoints, per-job output dirs, and
-  /// observability sidecars.
-  std::string work_dir;
-  /// Worker process count (clamped to the sequence count per epoch).
-  /// A ProcessCollector needs >= 1; the default 0 is how
-  /// model::TrainOptions says "collect in-process".
-  std::size_t workers = 0;
-  /// Retries per failed worker job (total attempts = retries + 1).
-  std::size_t retries = 1;
-  /// Per-attempt wall-clock cap in seconds (0 = no limit).
-  double timeout_seconds = 0.0;
-  /// Test hook: job id -> leading attempts forced to fail
-  /// (dist::OrchestratorOptions::inject_failures).
-  std::map<std::size_t, std::size_t> inject_failures;
-  /// Ask workers for per-process observability sidecars
-  /// (<work_dir>/worker<id>.metrics.json / .trace.json /
-  /// .series.jsonl), recorded in the job specs for a later
-  /// save_fleet_obs merge.
-  bool worker_metrics = false;
-  bool worker_trace = false;
-  bool worker_series = false;
-  /// Heartbeat interval for each epoch's job supervisor
-  /// (dist::OrchestratorOptions::heartbeat_seconds); 0 disables it.
-  double heartbeat_seconds = 30.0;
-  /// Fired on every supervisor heartbeat (registry sampling hook).
-  std::function<void()> on_heartbeat;
-  /// Remote transport: when command_template is nonempty, jobs run
-  /// through a CommandLauncher over these hosts instead of local
-  /// fork/exec (same placeholders as `rlbf_run orchestrate`).
-  std::vector<std::string> hosts;
-  std::string command_template;
-  std::string fetch_template;
-  /// Serialized progress lines from the orchestrator.
-  std::function<void(const std::string&)> on_event;
-};
 
 /// The subprocess rollout transport. slots() is 0: workers load the
 /// checkpointed model themselves, the in-process SequenceFn never runs.
 class ProcessCollector : public rl::Collector {
  public:
-  /// Validates options (worker/work_dir/workers, template pairing) and
-  /// constructs the launcher up front, so malformed transports fail
-  /// before any epoch runs. Throws std::invalid_argument.
-  explicit ProcessCollector(RolloutTransportOptions options);
+  /// `plan.args` must reconstruct the learner's training setup in
+  /// another process (`--spec=... --seed=...`); plan_rollout_jobs
+  /// appends the per-epoch flags. `supervise` runs each epoch's jobs and
+  /// `launcher` starts them. Throws std::invalid_argument on a plan
+  /// PlanOptions::validate rejects or a null launcher, so a malformed
+  /// transport fails before any epoch runs.
+  ProcessCollector(PlanOptions plan, OrchestratorOptions supervise,
+                   std::shared_ptr<Launcher> launcher);
 
   /// The learner's model writer: called once per epoch with the
   /// checkpoint path workers will load. Must be installed (by the
@@ -110,11 +68,10 @@ class ProcessCollector : public rl::Collector {
   /// supervisor merges their observability sidecars after training.
   const std::vector<JobSpec>& jobs() const { return jobs_; }
 
-  const RolloutTransportOptions& options() const { return options_; }
-
  private:
-  RolloutTransportOptions options_;
-  std::unique_ptr<Launcher> launcher_;
+  PlanOptions plan_;
+  OrchestratorOptions supervise_;
+  std::shared_ptr<Launcher> launcher_;
   std::function<void(const std::string&)> save_model_;
   std::vector<JobSpec> jobs_;
 };

@@ -527,32 +527,15 @@ Store::EvictionResult Store::evict_lru(
 
 std::vector<std::string> Store::export_bundle(
     const std::string& dir, const std::vector<std::string>& keys) const {
-  return export_bundle_impl(dir, keys, /*all_when_empty=*/true);
-}
-
-std::vector<std::string> Store::export_bundle_exact(
-    const std::string& dir, const std::vector<std::string>& keys) const {
-  return export_bundle_impl(dir, keys, /*all_when_empty=*/false);
-}
-
-std::vector<std::string> Store::export_bundle_impl(
-    const std::string& dir, const std::vector<std::string>& keys,
-    bool all_when_empty) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<const StoreEntry*> chosen;
-  if (keys.empty()) {
-    if (all_when_empty) {
-      for (const StoreEntry& entry : entries_) chosen.push_back(&entry);
+  for (const std::string& key : keys) {
+    const StoreEntry* entry = find_locked(key);
+    if (entry == nullptr) {
+      throw std::runtime_error("model store: cannot export unknown key '" +
+                               key + "' from " + root_);
     }
-  } else {
-    for (const std::string& key : keys) {
-      const StoreEntry* entry = find_locked(key);
-      if (entry == nullptr) {
-        throw std::runtime_error("model store: cannot export unknown key '" +
-                                 key + "' from " + root_);
-      }
-      chosen.push_back(entry);
-    }
+    chosen.push_back(entry);
   }
   std::error_code ec;
   fs::create_directories(dir, ec);

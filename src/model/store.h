@@ -99,20 +99,14 @@ class Store {
   EvictionResult evict_lru(std::uint64_t max_bytes,
                            const std::vector<std::string>& referenced = {});
 
-  /// Pack the given entries (all of them when `keys` is empty) into the
-  /// portable bundle directory `dir`: each entry's .model, its .spec
-  /// sidecar when present, and a "bundle.tsv" manifest. Returns the
-  /// exported keys. Throws std::runtime_error on unknown keys or I/O
-  /// failure.
+  /// Pack exactly the given entries into the portable bundle directory
+  /// `dir`: each entry's .model, its .spec sidecar when present, and a
+  /// "bundle.tsv" manifest. An empty `keys` writes a valid, importable
+  /// ZERO-entry bundle — what an empty `train --shard` ships, so a
+  /// worker never leaks unrelated store contents into its bundle.
+  /// Returns the exported keys. Throws std::runtime_error on unknown
+  /// keys or I/O failure.
   std::vector<std::string> export_bundle(
-      const std::string& dir, const std::vector<std::string>& keys = {}) const;
-
-  /// Like export_bundle, but `keys` means exactly `keys`: an empty list
-  /// writes a valid, importable ZERO-entry bundle instead of "all
-  /// entries". This is what a sharded `train --export_bundle` ships —
-  /// an empty shard must never leak unrelated store contents into its
-  /// bundle just because the worker store happened to be non-empty.
-  std::vector<std::string> export_bundle_exact(
       const std::string& dir, const std::vector<std::string>& keys) const;
 
   struct ImportReport {
@@ -135,9 +129,6 @@ class Store {
   std::string checkpoint_path(const std::string& key) const;
 
  private:
-  std::vector<std::string> export_bundle_impl(const std::string& dir,
-                                              const std::vector<std::string>& keys,
-                                              bool all_when_empty) const;
   void load_index_locked();
   void rebuild_from_scan_locked();
   /// Read-merge-write of index.tsv under a cross-process flock:

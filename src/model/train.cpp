@@ -94,10 +94,12 @@ std::optional<TrainOutcome> cache_hit(const Store& store, const std::string& key
 /// The worker-side flags that reconstruct `spec`'s training setup in a
 /// collect-rollouts subprocess: the registered spec name plus the
 /// overrides the train CLI can apply (seed, trace size, trajectory
-/// length). Throws unless re-applying exactly those overrides to the
-/// registered spec reproduces `spec`'s canonical string — the proof
-/// that worker-side collection samples the same trace, environment, and
-/// reward shaping the learner would have used in-process.
+/// length), followed by the caller's own worker flags
+/// (options.rollout.plan.args). Throws unless re-applying exactly those
+/// overrides to the registered spec reproduces `spec`'s canonical
+/// string — the proof that worker-side collection samples the same
+/// trace, environment, and reward shaping the learner would have used
+/// in-process.
 std::vector<std::string> rollout_worker_args(const TrainingSpec& spec,
                                              const TrainOptions& options) {
   if (!TrainingRegistry::instance().contains(spec.name)) {
@@ -126,9 +128,8 @@ std::vector<std::string> rollout_worker_args(const TrainingSpec& spec,
       "--seed=" + std::to_string(spec.trainer.seed),
       "--jobs=" + std::to_string(spec.workload.trace_jobs),
       "--traj_jobs=" + std::to_string(spec.trainer.jobs_per_trajectory)};
-  if (options.worker_threads != 0) {
-    args.push_back("--threads=" + std::to_string(options.worker_threads));
-  }
+  args.insert(args.end(), options.rollout.plan.args.begin(),
+              options.rollout.plan.args.end());
   return args;
 }
 
@@ -148,10 +149,11 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   // collection fans out to collect-rollouts subprocesses. Constructed
   // before the trainer so malformed transport options fail fast.
   std::unique_ptr<dist::ProcessCollector> collector;
-  if (options.rollout.workers > 0) {
-    dist::RolloutTransportOptions transport = options.rollout;
-    transport.worker_args = rollout_worker_args(spec, options);
-    collector = std::make_unique<dist::ProcessCollector>(std::move(transport));
+  if (options.rollout.plan.workers > 0) {
+    dist::PlanOptions plan = options.rollout.plan;
+    plan.args = rollout_worker_args(spec, options);
+    collector = std::make_unique<dist::ProcessCollector>(
+        std::move(plan), options.rollout.supervise, options.rollout.launcher);
   }
 
   std::optional<core::Agent> init;
@@ -264,7 +266,7 @@ TrainOutcome train_spec(const TrainingSpec& spec, Store& store,
 
 TrainOutcome train_on_trace(const swf::Trace& trace, const TrainingSpec& spec,
                             Store& store, const TrainOptions& options) {
-  if (options.rollout.workers > 0) {
+  if (options.rollout.plan.workers > 0) {
     // A collect-rollouts worker reconstructs its trace from the spec's
     // workload fields; an explicit caller-built trace has no such recipe.
     throw std::invalid_argument(

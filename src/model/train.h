@@ -3,7 +3,9 @@
 // or the DQN/REINFORCE ablation arms), checkpoint best-so-far agents
 // next to the store entry, and commit the result under the spec's
 // fingerprint. A second call with an equal fingerprint is a cache hit
-// and runs nothing.
+// and runs nothing. With TrainOptions::rollout, each epoch's collection
+// fans out over worker processes through the same dist::Fanout (plan,
+// supervisor, launcher) `rlbf_run orchestrate` and `train --workers` use.
 //
 // resolve_agent() is the deployment-side counterpart: it turns the agent
 // reference a ScenarioSpec carries (training-spec name, store key, or
@@ -19,7 +21,7 @@
 #include <vector>
 
 #include "dist/job.h"
-#include "dist/rollout.h"
+#include "dist/orchestrator.h"
 #include "model/store.h"
 #include "model/training_spec.h"
 
@@ -63,20 +65,20 @@ struct TrainOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// In-run distributed collection: with rollout.workers > 0 every
+  /// In-run distributed collection: with rollout.plan.workers > 0 every
   /// trainer epoch fans its rollouts out to `rlbf_run collect-rollouts`
-  /// subprocesses (dist::ProcessCollector) instead of the in-process
-  /// thread pool; rollout.workers == 0 (the default) keeps it
-  /// in-process. Requires a REGISTERED spec — the worker reconstructs
-  /// the training setup from the spec name plus explicit overrides, and
-  /// train_spec verifies the reconstruction reproduces the learner's
-  /// canonical string before any worker launches (it fills
-  /// rollout.worker_args itself). Results are byte-identical to
-  /// workers == 0 at any worker count (rl/collect.h contract).
-  dist::RolloutTransportOptions rollout;
-  /// Collection threads per rollout worker process (0 = spec/hardware
-  /// default).
-  std::size_t worker_threads = 0;
+  /// subprocesses (dist::ProcessCollector, planned, supervised and
+  /// launched through the same dist::Fanout as `rlbf_run orchestrate`)
+  /// instead of the in-process thread pool; plan.workers == 0 (the
+  /// default) keeps it in-process. Requires a REGISTERED spec — the
+  /// worker reconstructs the training setup from the spec name plus
+  /// explicit overrides, and train_spec verifies the reconstruction
+  /// reproduces the learner's canonical string before any worker
+  /// launches. Those reconstruction flags lead each worker's argv;
+  /// rollout.plan.args follow them (e.g. --threads=N per worker).
+  /// Results are byte-identical to plan.workers == 0 at any worker
+  /// count (rl/collect.h contract).
+  dist::Fanout rollout;
 };
 
 struct TrainOutcome {
@@ -89,7 +91,7 @@ struct TrainOutcome {
   /// single-spec entry points), so callers never recompute the
   /// partition to pair outcomes with specs.
   std::size_t spec_index = 0;
-  /// With TrainOptions::rollout.workers > 0: every collect-rollouts
+  /// With TrainOptions::rollout.plan.workers > 0: every collect-rollouts
   /// worker job the run launched (sidecar paths included), so the caller
   /// can merge fleet observability. Empty otherwise and on cache hits.
   std::vector<dist::JobSpec> rollout_jobs;

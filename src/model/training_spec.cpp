@@ -73,7 +73,9 @@ std::string canonical_string(const TrainingSpec& spec) {
   put(os, "env.objective", static_cast<int>(t.env.objective));
   put(os, "env.selection", static_cast<int>(t.env.selection));
   put(os, "env.epsilon", t.env.epsilon);
-  put(os, "env.sample_actions", t.env.sample_actions ? 1 : 0);
+  // The retired sample_actions alias: a constant line keeps every store
+  // key (fingerprint of this text) unchanged.
+  put(os, "env.sample_actions", 1);
   // Agent architecture.
   put(os, "agent.kernel_policy", t.agent.kernel_policy ? 1 : 0);
   put(os, "agent.obs.max_obsv_size", t.agent.obs.max_obsv_size);

@@ -429,9 +429,15 @@ void backward(const VarPtr& root) {
     throw std::invalid_argument("backward: root must be scalar, got " +
                                 root->value.shape_str());
   }
-  // Iterative post-order DFS for the topological order.
+  // Iterative post-order DFS for the topological order. The visited set
+  // is sized up front from the largest graph this thread has walked, so
+  // it does not rehash as the walk grows it. (A set kept alive across
+  // calls instead holds its buckets for the thread's lifetime, which
+  // measurably slowed the no-grad inference that runs afterwards.)
+  thread_local std::size_t largest_graph = 0;
   std::vector<VarPtr> topo;
   std::unordered_set<const Variable*> visited;
+  visited.reserve(largest_graph);
   std::vector<std::pair<VarPtr, std::size_t>> stack;
   stack.emplace_back(root, 0);
   visited.insert(root.get());
@@ -447,6 +453,7 @@ void backward(const VarPtr& root) {
       stack.pop_back();
     }
   }
+  largest_graph = std::max(largest_graph, visited.size());
   root->accumulate_grad(Tensor::ones(1, 1));
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     if ((*it)->backward_fn && (*it)->has_grad()) (*it)->backward_fn();

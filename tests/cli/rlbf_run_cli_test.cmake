@@ -364,8 +364,9 @@ else()
   math(EXPR failures "${failures} + 1")
 endif()
 
-# The PPO update names its phases in a training trace, and tracing
-# leaves the trained model's store bytes untouched.
+# The training epoch names its phases (collect, update) and the PPO
+# update its own in a training trace, and tracing leaves the trained
+# model's store bytes untouched.
 foreach(mode off on)
   file(MAKE_DIRECTORY "${WORK_DIR}/train_trace_${mode}")
   set(extra)
@@ -414,7 +415,8 @@ if(NOT train_profile_rc EQUAL 0)
   message(WARNING "train trace: profile failed (${train_profile_rc})\n"
                   "${train_profile_err}")
 endif()
-foreach(span policy_shard value_shard shard_reduce optimizer_step)
+foreach(span collect update policy_shard value_shard shard_reduce
+             optimizer_step)
   if(NOT train_profile MATCHES "(^|\n)${span} ")
     set(train_trace_ok 0)
     message(WARNING "train trace: profile lacks the ${span} span:\n${train_profile}")

@@ -14,7 +14,8 @@
 #      (kept under --keep_work, holding the worker obs sidecars).
 #   3. Malformed transports are usage errors (exit 2) before anything
 #      trains: --rollout_workers with --workers, --command_template
-#      without --hosts, --rollout_workers over a multi-spec grid.
+#      without --hosts, --hosts without --command_template,
+#      --rollout_workers over a multi-spec grid.
 #
 #   cmake -DRLBF_RUN=<binary> -DWORK_DIR=<scratch> -P rollout_workers_test.cmake
 
@@ -208,6 +209,10 @@ expect_usage_error("rollout_workers excludes process fan-out"
 expect_usage_error("command template needs hosts" "--hosts"
                    train --spec=sdsc-tiny --store=store_x --rollout_workers=2
                    "--command_template=ssh {host} {qcommand}")
+expect_usage_error("hosts need a command template"
+                   "--hosts needs --command_template"
+                   train --spec=sdsc-tiny --store=store_x --rollout_workers=2
+                   --hosts=a)
 expect_usage_error("one spec per rollout run" "exactly one"
                    train --ablations --store=store_x --rollout_workers=2)
 

@@ -1,6 +1,5 @@
 // Action-selection modes of the TrainingEnv (EnvConfig::ActionSelection):
-// softmax sampling (PPO/REINFORCE), epsilon-greedy (DQN), and pure greedy
-// — plus the sample_actions back-compat alias.
+// softmax sampling (PPO/REINFORCE), epsilon-greedy (DQN), and pure greedy.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -58,17 +57,6 @@ TEST(ActionSelection, GreedyIsDeterministic) {
   const auto counts = pick_histogram(cfg, 3, 50);
   ASSERT_EQ(counts.size(), 1u);  // always the same candidate
   EXPECT_EQ(counts.begin()->second, 50);
-}
-
-TEST(ActionSelection, SampleActionsFalseAliasesGreedy) {
-  EnvConfig sampled_off;
-  sampled_off.selection = ActionSelection::SampleSoftmax;
-  sampled_off.sample_actions = false;
-  EXPECT_EQ(sampled_off.effective_selection(), ActionSelection::Greedy);
-  EnvConfig eps;
-  eps.selection = ActionSelection::EpsilonGreedy;
-  eps.sample_actions = false;  // alias only affects SampleSoftmax
-  EXPECT_EQ(eps.effective_selection(), ActionSelection::EpsilonGreedy);
 }
 
 TEST(ActionSelection, SoftmaxSamplingExploresAllCandidates) {

@@ -264,7 +264,7 @@ TEST(TrainingEnv, AlternativeObjectiveDrivesTerminalReward) {
 TEST(TrainingEnv, GreedyModeIsDeterministic) {
   const swf::Trace trace = workload::sdsc_sp2_like(6, 300);
   EnvConfig cfg;
-  cfg.sample_actions = false;
+  cfg.selection = ActionSelection::Greedy;
   sched::FcfsPolicy fcfs;
   sched::RequestTimeEstimator est;
   double bslds[2];

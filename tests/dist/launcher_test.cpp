@@ -67,6 +67,7 @@ TEST(ParseHostsTest, SplitsAndValidates) {
 TEST(CommandLauncherTest, RejectsMalformedConstruction) {
   // No {command}: the worker command would be silently dropped.
   EXPECT_THROW(CommandLauncher("ssh {host}", {"a"}), std::invalid_argument);
+  EXPECT_NO_THROW(CommandLauncher("ssh {host} {qcommand}", {"a"}));
   // Typo'd placeholder caught at construction, not at job 7.
   EXPECT_THROW(CommandLauncher("ssh {hots} {command}", {"a"}),
                std::invalid_argument);

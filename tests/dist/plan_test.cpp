@@ -1,14 +1,17 @@
 // Plan-builder and partition tests: jobs are pure functions of their
 // options, shard flags and output directories are exactly where the
-// collector will look, and the training partition keeps warm-start
-// consumers with their sources.
+// collector will look, rollout jobs carry exactly one epoch's request,
+// and the training partition keeps warm-start consumers with their
+// sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
 #include "dist/job.h"
+#include "dist/rollout.h"
 #include "model/train.h"
+#include "rl/collect.h"
 
 namespace rlbf {
 namespace {
@@ -73,15 +76,143 @@ TEST(PlanTest, TrainPlanGivesEachWorkerAPrivateStoreAndBundle) {
 }
 
 TEST(PlanTest, MalformedPlanOptionsAreNamedErrors) {
+  // Every planner (and the rollout transport) runs the one
+  // PlanOptions::validate; each rejection names the planner.
+  rl::CollectionPlan epoch;
+  epoch.seeds = {1, 2};
+  const auto expect_named = [](const auto& plan_fn, const char* who) {
+    try {
+      plan_fn();
+      FAIL() << "expected std::invalid_argument from " << who;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(who), std::string::npos) << e.what();
+    }
+  };
   dist::PlanOptions options = sweep_options();
   options.workers = 0;
-  EXPECT_THROW(dist::plan_sweep_jobs(options), std::invalid_argument);
+  expect_named([&] { dist::plan_sweep_jobs(options); }, "plan_sweep_jobs");
+  expect_named([&] { dist::plan_rollout_jobs(options, epoch, "m"); },
+               "plan_rollout_jobs");
   options = sweep_options();
   options.worker = "";
-  EXPECT_THROW(dist::plan_sweep_jobs(options), std::invalid_argument);
+  expect_named([&] { dist::plan_sweep_jobs(options); }, "plan_sweep_jobs");
+  expect_named([&] { dist::plan_rollout_jobs(options, epoch, "m"); },
+               "plan_rollout_jobs");
   options = sweep_options();
   options.work_dir = "";
-  EXPECT_THROW(dist::plan_train_jobs(options), std::invalid_argument);
+  expect_named([&] { dist::plan_train_jobs(options); }, "plan_train_jobs");
+  expect_named([&] { dist::plan_rollout_jobs(options, epoch, "m"); },
+               "plan_rollout_jobs");
+}
+
+// ---- one epoch of rollout jobs (dist::plan_rollout_jobs) ----
+
+dist::PlanOptions rollout_options() {
+  dist::PlanOptions options;
+  options.worker = "rlbf_run";
+  options.args = {"--spec=sdsc-tiny", "--seed=3"};
+  options.workers = 3;
+  options.work_dir = "r";
+  return options;
+}
+
+rl::CollectionPlan rollout_epoch(std::size_t epoch, std::size_t sequences) {
+  rl::CollectionPlan plan;
+  plan.epoch = epoch;
+  for (std::size_t i = 0; i < sequences; ++i) plan.seeds.push_back(100 + i);
+  return plan;
+}
+
+std::string arg_value(const dist::JobSpec& job, const std::string& flag) {
+  for (const std::string& arg : job.argv) {
+    if (arg.rfind(flag + "=", 0) == 0) return arg.substr(flag.size() + 1);
+  }
+  return "<absent>";
+}
+
+TEST(RolloutPlanTest, SplitsSeedsRoundRobinIntoOneRequestPerWorker) {
+  const rl::CollectionPlan epoch = rollout_epoch(2, 7);
+  const std::vector<dist::JobSpec> jobs =
+      dist::plan_rollout_jobs(rollout_options(), epoch, "r/epoch2.model");
+  ASSERT_EQ(jobs.size(), 3u);
+  const auto shares = dist::rollout_seed_shares(epoch.seeds, 3);
+  EXPECT_EQ(shares[0], (std::vector<std::uint64_t>{100, 103, 106}));
+  EXPECT_EQ(shares[2], (std::vector<std::uint64_t>{102, 105}));
+  for (std::size_t w = 0; w < jobs.size(); ++w) {
+    const dist::JobSpec& job = jobs[w];
+    EXPECT_EQ(job.argv[0], "rlbf_run");
+    EXPECT_EQ(job.argv[1], "collect-rollouts");
+    EXPECT_EQ(job.argv[2], "--spec=sdsc-tiny");
+    EXPECT_EQ(job.argv[3], "--seed=3");
+    EXPECT_EQ(job.name, "rollout-e2-w" + std::to_string(w) + "/3");
+    EXPECT_EQ(job.output_dir, "r/e2.w" + std::to_string(w));
+    EXPECT_EQ(arg_value(job, "--seeds"), dist::format_seed_list(shares[w]));
+    EXPECT_EQ(arg_value(job, "--model"), "r/epoch2.model");
+    EXPECT_EQ(arg_value(job, "--epoch"), "2");
+    EXPECT_EQ(arg_value(job, "--out"), job.output_dir + "/rollouts.bin");
+    EXPECT_EQ(arg_value(job, "--fingerprint"),
+              dist::rollout_request_fingerprint(rollout_options().args, 2, w,
+                                                shares[w]));
+    // No finite epsilon in the plan: the flag is absent, not "nan".
+    EXPECT_EQ(arg_value(job, "--epsilon"), "<absent>");
+  }
+}
+
+TEST(RolloutPlanTest, EpsilonRidesAlongOnlyWhenFinite) {
+  rl::CollectionPlan epoch = rollout_epoch(1, 2);
+  epoch.epsilon = 0.25;
+  for (const dist::JobSpec& job :
+       dist::plan_rollout_jobs(rollout_options(), epoch, "m")) {
+    EXPECT_EQ(arg_value(job, "--epsilon"), "0.25");
+  }
+}
+
+TEST(RolloutPlanTest, JobIdsAreUniqueAcrossEpochs) {
+  std::vector<std::size_t> ids;
+  for (std::size_t e = 1; e <= 4; ++e) {
+    for (const dist::JobSpec& job :
+         dist::plan_rollout_jobs(rollout_options(), rollout_epoch(e, 5), "m")) {
+      EXPECT_EQ(job.id, (e - 1) * 3 + ids.size() % 3);
+      ids.push_back(job.id);
+    }
+  }
+  std::vector<std::size_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(ids.size(), 12u);
+}
+
+TEST(RolloutPlanTest, WorkersClampToTheSequenceCount) {
+  const std::vector<dist::JobSpec> jobs =
+      dist::plan_rollout_jobs(rollout_options(), rollout_epoch(1, 2), "m");
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[1].name, "rollout-e1-w1/2");
+  EXPECT_TRUE(
+      dist::plan_rollout_jobs(rollout_options(), rollout_epoch(1, 0), "m")
+          .empty());
+}
+
+TEST(RolloutPlanTest, SidecarsSitAtTheWorkDirRootNamedByJobId) {
+  dist::PlanOptions options = rollout_options();
+  options.worker_metrics = true;
+  options.worker_trace = true;
+  options.worker_series = true;
+  for (const dist::JobSpec& job :
+       dist::plan_rollout_jobs(options, rollout_epoch(2, 6), "m")) {
+    const std::string stem = "r/worker" + std::to_string(job.id);
+    EXPECT_EQ(job.metrics_path, stem + ".metrics.json");
+    EXPECT_EQ(job.trace_path, stem + ".trace.json");
+    EXPECT_EQ(job.series_path, stem + ".series.jsonl");
+    EXPECT_TRUE(has_arg(job, "--metrics_out=" + job.metrics_path));
+    EXPECT_TRUE(has_arg(job, "--trace_out=" + job.trace_path));
+    EXPECT_TRUE(has_arg(job, "--series_out=" + job.series_path));
+  }
+  // Without the flags no sidecar is requested.
+  for (const dist::JobSpec& job :
+       dist::plan_rollout_jobs(rollout_options(), rollout_epoch(2, 6), "m")) {
+    EXPECT_TRUE(job.metrics_path.empty());
+    EXPECT_EQ(arg_value(job, "--metrics_out"), "<absent>");
+  }
 }
 
 TEST(PlanTest, CommandLineQuotesEveryArgument) {

@@ -1,13 +1,16 @@
 // Process-transport tests that need no worker binary: seed-list
 // round-tripping, request-fingerprint sensitivity, and ProcessCollector
 // construction-time validation (a malformed transport must fail before
-// any epoch runs, not at job 7).
+// any epoch runs, not at job 7). The plan checks themselves live with
+// the other planners (plan_test.cpp), template checks with
+// CommandLauncher (launcher_test.cpp).
 #include "dist/rollout.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,47 +61,41 @@ TEST(RequestFingerprintTest, BindsEveryPartOfTheRequest) {
       base);
 }
 
-RolloutTransportOptions valid_options() {
-  RolloutTransportOptions options;
-  options.worker = "/bin/true";
-  options.worker_args = {"--spec=x"};
-  options.work_dir = ::testing::TempDir() + "/rollout_ctor_scratch";
-  options.workers = 2;
-  return options;
+PlanOptions valid_plan() {
+  PlanOptions plan;
+  plan.worker = "/bin/true";
+  plan.args = {"--spec=x"};
+  plan.work_dir = ::testing::TempDir() + "/rollout_ctor_scratch";
+  plan.workers = 2;
+  return plan;
+}
+
+ProcessCollector valid_collector() {
+  return ProcessCollector(valid_plan(), OrchestratorOptions{},
+                          std::make_shared<LocalLauncher>());
 }
 
 TEST(ProcessCollectorTest, ConstructionValidatesTheTransport) {
-  EXPECT_NO_THROW(ProcessCollector{valid_options()});
-
-  RolloutTransportOptions options = valid_options();
-  options.worker.clear();
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-
-  options = valid_options();
-  options.work_dir.clear();
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-
-  options = valid_options();
-  options.workers = 0;
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-
-  // Hosts without a command template: nothing would use them — reject
-  // rather than silently running locally.
-  options = valid_options();
-  options.hosts = {"h0"};
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-
-  // A command template is validated by the CommandLauncher it builds.
-  options = valid_options();
-  options.hosts = {"h0"};
-  options.command_template = "ssh {host}";  // no {command}
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-  options.command_template = "ssh {host} {qcommand}";
-  EXPECT_NO_THROW(ProcessCollector{options});
+  EXPECT_NO_THROW(valid_collector());
+  // The plan goes through the planners' shared PlanOptions::validate
+  // (each case is covered in PlanTest.MalformedPlanOptionsAreNamedErrors).
+  PlanOptions plan = valid_plan();
+  plan.workers = 0;
+  try {
+    ProcessCollector(plan, OrchestratorOptions{},
+                     std::make_shared<LocalLauncher>());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rollout transport"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ProcessCollector(valid_plan(), OrchestratorOptions{}, nullptr),
+               std::invalid_argument);
 }
 
 TEST(ProcessCollectorTest, NeverRunsTheSequenceFnInProcess) {
-  ProcessCollector collector(valid_options());
+  ProcessCollector collector = valid_collector();
   EXPECT_EQ(collector.slots(1), 0u);
   EXPECT_EQ(collector.slots(100), 0u);
 }
@@ -106,7 +103,7 @@ TEST(ProcessCollectorTest, NeverRunsTheSequenceFnInProcess) {
 TEST(ProcessCollectorTest, EmptyPlanIsANoOp) {
   // No model save hook installed, no scratch dir created — an empty
   // epoch must not need either.
-  ProcessCollector collector(valid_options());
+  ProcessCollector collector = valid_collector();
   const std::vector<rl::SequenceResult> results = collector.collect(
       rl::CollectionPlan{}, [](std::size_t, std::uint64_t, std::size_t) {
         return rl::SequenceResult{};
@@ -116,7 +113,7 @@ TEST(ProcessCollectorTest, EmptyPlanIsANoOp) {
 }
 
 TEST(ProcessCollectorTest, CollectWithoutAModelWriterIsALogicError) {
-  ProcessCollector collector(valid_options());
+  ProcessCollector collector = valid_collector();
   rl::CollectionPlan plan;
   plan.seeds = {1};
   plan.epoch = 1;

@@ -370,7 +370,7 @@ TEST(Store, BundleExportImportRoundTrip) {
   source.put(key_a, agent_a, "arm-a", {{"epochs", "2"}}, canonical_string(spec_a));
   source.put(key_b, tiny_agent(2), "arm-b", {}, canonical_string(spec_b));
 
-  const auto exported = source.export_bundle(bundle);
+  const auto exported = source.export_bundle(bundle, {key_a, key_b});
   EXPECT_EQ(exported, (std::vector<std::string>{key_a, key_b}));
   EXPECT_TRUE(fs::exists(bundle + "/bundle.tsv"));
 
@@ -406,12 +406,25 @@ TEST(Store, ExportBundleRejectsUnknownKeys) {
                std::runtime_error);
 }
 
+TEST(Store, ExportBundleOfNoKeysIsAnEmptyBundle) {
+  const std::string bundle = fresh_root("bundle_empty");
+  Store source(fresh_root("bundle_empty_src"));
+  const TrainingSpec spec = bundle_spec("arm-f", 1500);
+  source.put(fingerprint(spec), tiny_agent(), "arm-f", {}, canonical_string(spec));
+  // Exactly the listed keys: none listed, none exported, even from a
+  // non-empty store — and the empty bundle still imports.
+  EXPECT_TRUE(source.export_bundle(bundle, {}).empty());
+  Store dest(fresh_root("bundle_empty_dst"));
+  EXPECT_TRUE(dest.import_bundle(bundle).imported.empty());
+  EXPECT_TRUE(dest.list().empty());
+}
+
 TEST(Store, ImportRejectsCorruptModels) {
   const std::string bundle = fresh_root("bundle_corrupt");
   Store source(fresh_root("bundle_corrupt_src"));
   const TrainingSpec spec = bundle_spec("arm-c", 900);
   source.put(fingerprint(spec), tiny_agent(), "arm-c", {}, canonical_string(spec));
-  source.export_bundle(bundle);
+  source.export_bundle(bundle, {fingerprint(spec)});
   // Truncate the model mid-weights: import must reject, not adopt.
   const std::string model = bundle + "/" + fingerprint(spec) + ".model";
   fs::resize_file(model, fs::file_size(model) / 2);
@@ -434,7 +447,7 @@ TEST(Store, ImportRejectsFingerprintMismatches) {
   const TrainingSpec spec = bundle_spec("arm-d", 1100);
   const std::string key = fingerprint(spec);
   source.put(key, tiny_agent(), "arm-d", {}, canonical_string(spec));
-  source.export_bundle(bundle);
+  source.export_bundle(bundle, {key});
   // Rewrite the manifest to claim a different key for the same files: a
   // mismatched (say, renamed or swapped) model must be rejected.
   std::ofstream(bundle + "/bundle.tsv", std::ios::trunc)
@@ -510,7 +523,7 @@ TEST(Store, ImportRejectsTamperedSpecSidecars) {
   const TrainingSpec spec = bundle_spec("arm-e", 1300);
   const std::string key = fingerprint(spec);
   source.put(key, tiny_agent(), "arm-e", {}, canonical_string(spec));
-  source.export_bundle(bundle);
+  source.export_bundle(bundle, {key});
   // A spec sidecar that no longer hashes to the key means the canonical
   // audit text was edited (or the wrong spec shipped): reject.
   std::ofstream(bundle + "/" + key + ".spec", std::ios::app) << "tampered\n";

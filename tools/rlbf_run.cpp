@@ -667,10 +667,34 @@ int merge(int argc, char** argv) {
 
 // --------------------------------------------------------------- train
 
-/// The orchestration knobs `train --workers` and `orchestrate` share —
-/// one definition, like SweepFlags, so the two fan-out surfaces cannot
-/// drift apart flag by flag.
-struct FanoutFlags {
+/// Parse "--inject_fail=1:2,3:1" into the orchestrator's job->count map.
+std::map<std::size_t, std::size_t> parse_inject_fail(const std::string& text) {
+  std::map<std::size_t, std::size_t> inject;
+  if (text.empty()) return inject;
+  for (const std::string& item : split_names(text, "--inject_fail")) {
+    const std::size_t colon = item.find(':');
+    std::uint64_t job = 0;
+    std::uint64_t count = 1;
+    const std::string job_text =
+        colon == std::string::npos ? item : item.substr(0, colon);
+    if (!exp::parse_uint64(job_text, &job) ||
+        (colon != std::string::npos &&
+         !exp::parse_uint64(item.substr(colon + 1), &count))) {
+      throw std::invalid_argument("malformed --inject_fail entry '" + item +
+                                  "' (want JOB or JOB:COUNT)");
+    }
+    inject[job] = count;
+  }
+  return inject;
+}
+
+/// The worker fan-out knobs every fan-out surface shares —
+/// `orchestrate`, `train --workers`, and `train --rollout_workers` all
+/// bind this ONE definition, like SweepFlags, so they speak the same
+/// supervision and --hosts/--command_template dialect, and fanout()
+/// turns it (with the supervisor's own obs flags) into the one
+/// dist::Fanout they all run through.
+struct FanoutFlags : ObsFlags {
   std::size_t workers = 1;
   std::size_t retries = 1;
   std::string worker_binary;
@@ -679,6 +703,9 @@ struct FanoutFlags {
   double timeout = 0.0;
   double heartbeat = 30.0;
   std::string inject_fail;
+  std::string hosts;
+  std::string command_template;
+  std::string fetch_template;
 
   /// `workers_help` and the scratch default named in --work_dir's help
   /// are the only per-command differences.
@@ -718,16 +745,6 @@ struct FanoutFlags {
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);  // best effort; scratch only
   }
-};
-
-/// The remote-transport knobs every fan-out surface shares —
-/// `orchestrate`, `train --workers`, and `train --rollout_workers` all
-/// bind this ONE definition, so they speak the same
-/// --hosts/--command_template dialect and cannot drift apart.
-struct TransportFlags {
-  std::string hosts;
-  std::string command_template;
-  std::string fetch_template;
 
   void bind_transport(exp::ArgParser& parser) {
     parser.add("--hosts", &hosts,
@@ -763,14 +780,56 @@ struct TransportFlags {
     return "";
   }
 
-  /// The launcher this transport selects: a local process pool, or the
-  /// command template expanded over the host list.
-  std::unique_ptr<dist::Launcher> make_launcher(double timeout) const {
-    if (command_template.empty()) {
-      return std::make_unique<dist::LocalLauncher>(timeout);
+  /// Threads per worker: `threads` when the user chose a count. Else a
+  /// local pool splits the hardware between its `in_flight` concurrent
+  /// workers (each defaulting to full concurrency would oversubscribe
+  /// the machine N-fold), and remote workers keep their own machine's
+  /// default (0).
+  std::size_t worker_threads(std::size_t threads, std::size_t in_flight) const {
+    if (threads != 0 || remote()) return threads;
+    return std::max<std::size_t>(
+        std::thread::hardware_concurrency() / in_flight, 1);
+  }
+
+  /// The fan-out these flags describe, minus the plan's own worker
+  /// flags: the worker binary, `workers` jobs under `work_dir`, worker
+  /// obs sidecars when the supervisor is instrumented (rolled up by
+  /// save_fleet_obs), retries / failure injection / heartbeat / progress
+  /// lines / per-job dist.* series, and the launcher — a local process
+  /// pool, or the command template expanded over the host list.
+  dist::Fanout fanout(bool quiet, std::size_t workers,
+                      std::string work_dir) const {
+    dist::Fanout fanout;
+    fanout.plan.worker = worker_binary.empty()
+                             ? util::current_executable(g_program_path)
+                             : worker_binary;
+    fanout.plan.workers = workers;
+    fanout.plan.work_dir = std::move(work_dir);
+    fanout.plan.worker_metrics = !metrics_out.empty();
+    fanout.plan.worker_trace = !trace_out.empty();
+    fanout.plan.worker_series = !series_out.empty();
+    dist::OrchestratorOptions& supervise = fanout.supervise;
+    supervise.max_attempts = retries + 1;
+    supervise.inject_failures = parse_inject_fail(inject_fail);
+    supervise.heartbeat_seconds = heartbeat;
+    if (!series_out.empty()) {
+      // Per-job duration series plus a registry sample per heartbeat
+      // (sample_once is thread-safe; the heartbeat thread calls it).
+      supervise.series = &series_recorder();
+      supervise.on_heartbeat = [] { registry_sampler().sample_once(); };
     }
-    return std::make_unique<dist::CommandLauncher>(
-        command_template, dist::parse_hosts(hosts), fetch_template, timeout);
+    if (!quiet) {
+      supervise.on_event = [](const std::string& line) {
+        std::cout << "# " << line << "\n" << std::flush;
+      };
+    }
+    if (remote()) {
+      fanout.launcher = std::make_shared<dist::CommandLauncher>(
+          command_template, dist::parse_hosts(hosts), fetch_template, timeout);
+    } else {
+      fanout.launcher = std::make_shared<dist::LocalLauncher>(timeout);
+    }
+    return fanout;
   }
 };
 
@@ -781,7 +840,7 @@ std::string trim_trailing_slashes(std::string path) {
   return path;
 }
 
-struct TrainArgs : FanoutFlags, TransportFlags, ObsFlags {
+struct TrainArgs : FanoutFlags {
   bool list = false;
   std::size_t rollout_workers = 0;
   std::string spec_names;
@@ -848,54 +907,6 @@ struct TrainArgs : FanoutFlags, TransportFlags, ObsFlags {
     return parser;
   }
 };
-
-/// Parse "--inject_fail=1:2,3:1" into the orchestrator's job->count map.
-std::map<std::size_t, std::size_t> parse_inject_fail(const std::string& text) {
-  std::map<std::size_t, std::size_t> inject;
-  if (text.empty()) return inject;
-  for (const std::string& item : split_names(text, "--inject_fail")) {
-    const std::size_t colon = item.find(':');
-    std::uint64_t job = 0;
-    std::uint64_t count = 1;
-    const std::string job_text =
-        colon == std::string::npos ? item : item.substr(0, colon);
-    if (!exp::parse_uint64(job_text, &job) ||
-        (colon != std::string::npos &&
-         !exp::parse_uint64(item.substr(colon + 1), &count))) {
-      throw std::invalid_argument("malformed --inject_fail entry '" + item +
-                                  "' (want JOB or JOB:COUNT)");
-    }
-    inject[job] = count;
-  }
-  return inject;
-}
-
-/// Shared fan-out driver: run a plan through a launcher with retries
-/// and return the report — the CALLER must check report.all_ok and
-/// print failure_summary() before collecting (the collectors also
-/// refuse incomplete runs as a backstop).
-dist::OrchestrationReport run_fanout(
-    const std::vector<dist::JobSpec>& jobs, dist::Launcher& launcher,
-    std::size_t max_parallel, std::size_t retries, const std::string& inject,
-    bool quiet, double heartbeat, bool series) {
-  dist::OrchestratorOptions options;
-  options.max_parallel = max_parallel;
-  options.max_attempts = retries + 1;
-  options.inject_failures = parse_inject_fail(inject);
-  options.heartbeat_seconds = heartbeat;
-  if (series) {
-    // Per-job duration series plus a registry sample per heartbeat
-    // (sample_once is thread-safe; the heartbeat thread calls it).
-    options.series = &series_recorder();
-    options.on_heartbeat = [] { registry_sampler().sample_once(); };
-  }
-  if (!quiet) {
-    options.on_event = [](const std::string& line) {
-      std::cout << "# " << line << "\n" << std::flush;
-    };
-  }
-  return dist::run_jobs(jobs, launcher, options);
-}
 
 int train(int argc, char** argv) {
   TrainArgs args;
@@ -1001,56 +1012,36 @@ int train(int argc, char** argv) {
     const std::string store_root = model::default_store_root();
     const std::string work_dir = args.scratch_dir(
         trim_trailing_slashes(store_root) + ".orchestrate");
-    dist::PlanOptions plan;
-    plan.worker = args.worker_binary.empty()
-                      ? util::current_executable(g_program_path)
-                      : args.worker_binary;
-    plan.workers = args.workers;
-    plan.work_dir = work_dir;
+    dist::Fanout fanout = args.fanout(args.quiet, args.workers, work_dir);
     // Forward exactly the training flags that shape results; each worker
     // trains its shard into a private store and exports a bundle.
-    if (!args.spec_names.empty()) plan.args.push_back("--spec=" + args.spec_names);
-    if (args.ablations) plan.args.push_back("--ablations");
-    // N concurrent local workers each defaulting to full hardware
-    // concurrency would oversubscribe the machine N-fold; split the
-    // hardware between them unless the user chose a count. (Remote jobs
-    // keep their own machine's default.)
-    if (args.threads != 0) {
-      plan.args.push_back("--threads=" + std::to_string(args.threads));
-    } else if (!args.remote()) {
-      plan.args.push_back("--threads=" +
-                          std::to_string(std::max<std::size_t>(
-                              std::thread::hardware_concurrency() / args.workers,
-                              1)));
+    std::vector<std::string>& forward = fanout.plan.args;
+    if (!args.spec_names.empty()) forward.push_back("--spec=" + args.spec_names);
+    if (args.ablations) forward.push_back("--ablations");
+    if (const std::size_t t = args.worker_threads(args.threads, args.workers)) {
+      forward.push_back("--threads=" + std::to_string(t));
     }
-    if (args.force) plan.args.push_back("--force");
-    plan.args.push_back("--quiet");
-    if (args.seed != 0) plan.args.push_back("--seed=" + std::to_string(args.seed));
+    if (args.force) forward.push_back("--force");
+    forward.push_back("--quiet");
+    if (args.seed != 0) forward.push_back("--seed=" + std::to_string(args.seed));
     if (args.epochs > 0) {
-      plan.args.push_back("--epochs=" + std::to_string(args.epochs));
+      forward.push_back("--epochs=" + std::to_string(args.epochs));
     }
     if (args.trajectories > 0) {
-      plan.args.push_back("--trajectories=" + std::to_string(args.trajectories));
+      forward.push_back("--trajectories=" + std::to_string(args.trajectories));
     }
     if (args.traj_jobs > 0) {
-      plan.args.push_back("--traj_jobs=" + std::to_string(args.traj_jobs));
+      forward.push_back("--traj_jobs=" + std::to_string(args.traj_jobs));
     }
-    if (args.jobs > 0) plan.args.push_back("--jobs=" + std::to_string(args.jobs));
-    // Instrumented supervisor => per-worker sidecars, rolled up below.
-    plan.worker_metrics = !args.metrics_out.empty();
-    plan.worker_trace = !args.trace_out.empty();
-    plan.worker_series = !args.series_out.empty();
+    if (args.jobs > 0) forward.push_back("--jobs=" + std::to_string(args.jobs));
 
-    const std::vector<dist::JobSpec> jobs = dist::plan_train_jobs(plan);
+    const std::vector<dist::JobSpec> jobs = dist::plan_train_jobs(fanout.plan);
     // Remote transports fetch bundles back under work_dir; create it up
     // front (local workers create their own output dirs).
     std::error_code work_ec;
     std::filesystem::create_directories(work_dir, work_ec);
-    const std::unique_ptr<dist::Launcher> launcher =
-        args.make_launcher(args.timeout);
-    const dist::OrchestrationReport report = run_fanout(
-        jobs, *launcher, args.workers, args.retries, args.inject_fail,
-        args.quiet, args.heartbeat, !args.series_out.empty());
+    const dist::OrchestrationReport report =
+        dist::run_jobs(jobs, *fanout.launcher, fanout.supervise);
     if (!report.all_ok) {
       std::cerr << "rlbf_run train: fan-out failed:\n"
                 << report.failure_summary() << "\n";
@@ -1111,43 +1102,20 @@ int train(int argc, char** argv) {
   // The actor/learner split: collection fans out to collect-rollouts
   // subprocesses, the update stays in this process. Byte-identical to
   // --rollout_workers=0 by the rl/collect.h determinism contract.
-  std::string rollout_work_dir;
   if (args.rollout_workers > 0) {
-    rollout_work_dir = args.scratch_dir(
-        trim_trailing_slashes(model::default_store_root()) + ".rollouts");
-    options.rollout.workers = args.rollout_workers;
-    options.rollout.worker =
-        args.worker_binary.empty() ? util::current_executable(g_program_path)
-                                   : args.worker_binary;
-    options.rollout.work_dir = rollout_work_dir;
-    // Split the hardware between concurrent local workers (the learner
-    // sleeps during collection); remote workers keep their own default.
-    if (args.threads != 0) {
-      options.worker_threads = args.threads;
-    } else if (!args.remote()) {
-      options.worker_threads = std::max<std::size_t>(
-          std::thread::hardware_concurrency() / args.rollout_workers, 1);
+    options.rollout = args.fanout(
+        args.quiet, args.rollout_workers,
+        args.scratch_dir(trim_trailing_slashes(model::default_store_root()) +
+                         ".rollouts"));
+    // The learner sleeps during collection, so the workers split the
+    // whole machine.
+    if (const std::size_t t =
+            args.worker_threads(args.threads, args.rollout_workers)) {
+      options.rollout.plan.args.push_back("--threads=" + std::to_string(t));
     }
-    options.rollout.retries = args.retries;
-    options.rollout.timeout_seconds = args.timeout;
-    options.rollout.inject_failures = parse_inject_fail(args.inject_fail);
-    options.rollout.worker_metrics = !args.metrics_out.empty();
-    options.rollout.worker_trace = !args.trace_out.empty();
-    options.rollout.worker_series = !args.series_out.empty();
-    options.rollout.heartbeat_seconds = args.heartbeat;
-    if (!args.series_out.empty()) {
-      options.rollout.on_heartbeat = [] { registry_sampler().sample_once(); };
-    }
-    if (args.remote()) {
-      options.rollout.hosts = dist::parse_hosts(args.hosts);
-      options.rollout.command_template = args.command_template;
-      options.rollout.fetch_template = args.fetch_template;
-    }
-    if (!args.quiet) {
-      options.rollout.on_event = [](const std::string& line) {
-        std::cout << "# " << line << "\n" << std::flush;
-      };
-    }
+    // No per-job dist.* series: a bare --series_out file keeps only the
+    // byte-deterministic training curves.
+    options.rollout.supervise.series = nullptr;
   }
   if (!args.quiet) {
     // Per-epoch progress goes through util::log (stderr, leveled,
@@ -1195,11 +1163,11 @@ int train(int argc, char** argv) {
         keys.push_back(out.entry.key);
       }
     }
-    // export_bundle_exact: an empty shard writes a valid ZERO-entry
-    // bundle (collection imports nothing) — never "all entries", which
-    // would leak unrelated contents of a reused worker store.
+    // An empty shard writes a valid ZERO-entry bundle (collection
+    // imports nothing) — never "all entries", which would leak unrelated
+    // contents of a reused worker store.
     const std::vector<std::string> exported =
-        store.export_bundle_exact(args.export_bundle, keys);
+        store.export_bundle(args.export_bundle, keys);
     std::cout << "# exported " << exported.size() << " entr"
               << (exported.size() == 1 ? "y" : "ies") << " to "
               << args.export_bundle << "/\n";
@@ -1214,7 +1182,7 @@ int train(int argc, char** argv) {
                           out.rollout_jobs.end());
     }
     const int obs_rc = save_fleet_obs(args, rollout_jobs);
-    args.cleanup_scratch(rollout_work_dir);
+    args.cleanup_scratch(options.rollout.plan.work_dir);
     return obs_rc;
   }
   return args.save_obs();
@@ -1347,10 +1315,10 @@ int collect_rollouts(int argc, char** argv) {
 
 /// The sweep being distributed is the shared SweepFlags block — bound
 /// from the same definition `run` uses and forwarded to every worker
-/// via SweepFlags::forward() — and the supervision knobs are the shared
-/// FanoutFlags block `train --workers` also uses; only the transport
-/// flags (hosts, templates) and --out_dir are orchestrate's own.
-struct OrchestrateArgs : SweepFlags, FanoutFlags, TransportFlags, ObsFlags {
+/// via SweepFlags::forward() — and the supervision and transport knobs
+/// are the shared FanoutFlags block `train` also uses; only --parallel,
+/// --out_dir and --quiet are orchestrate's own.
+struct OrchestrateArgs : SweepFlags, FanoutFlags {
   std::size_t parallel = 0;
   std::string out_dir;
   bool quiet = false;
@@ -1373,9 +1341,6 @@ struct OrchestrateArgs : SweepFlags, FanoutFlags, TransportFlags, ObsFlags {
                "jobs in flight at once (0 = all workers)");
     parser.add("--out_dir", &out_dir, "where the merged files go (required)");
     bind_transport(parser);
-    parser.add("--inject_fail", &inject_fail,
-               "test hook: \"JOB:COUNT[,JOB:COUNT...]\" forces the first "
-               "COUNT attempts of job JOB to fail and be retried");
     parser.add_flag("--quiet", &quiet, "suppress per-job progress lines");
     bind_obs(parser);
     return parser;
@@ -1470,42 +1435,17 @@ int orchestrate(int argc, char** argv) {
     return 1;
   }
 
-  dist::PlanOptions plan;
-  plan.worker = args.worker_binary.empty()
-                    ? util::current_executable(g_program_path)
-                    : args.worker_binary;
-  plan.workers = args.workers;
-  plan.work_dir = work_dir;
-  if (args.threads == 0 && args.command_template.empty()) {
-    // Local pool: split the hardware between the concurrent workers
-    // instead of letting each default to full concurrency. (Remote
-    // jobs keep their own machine's default.)
-    const std::size_t in_flight =
-        args.parallel == 0 ? args.workers : std::min(args.parallel, args.workers);
-    args.threads = std::max<std::size_t>(
-        std::thread::hardware_concurrency() / in_flight, 1);
-  }
+  dist::Fanout fanout = args.fanout(args.quiet, args.workers, work_dir);
+  fanout.supervise.max_parallel = args.parallel;
+  args.threads = args.worker_threads(
+      args.threads, args.parallel == 0 ? args.workers
+                                       : std::min(args.parallel, args.workers));
   // Every result-shaping flag comes from the shared SweepFlags block —
   // adding a flag there forwards it here automatically.
-  plan.args = args.forward();
-  // When the supervisor is instrumented, every worker writes its own
-  // sidecars into the work dir; save_fleet_obs rolls them up below.
-  plan.worker_metrics = !args.metrics_out.empty();
-  plan.worker_trace = !args.trace_out.empty();
-  plan.worker_series = !args.series_out.empty();
-
-  const std::vector<dist::JobSpec> jobs = dist::plan_sweep_jobs(plan);
-
-  // Choose the transport: a local process pool, or the user's command
-  // template expanded over the host list.
-  const std::unique_ptr<dist::Launcher> launcher =
-      args.make_launcher(args.timeout);
-
-  const std::size_t parallel =
-      args.parallel == 0 ? args.workers : args.parallel;
-  const dist::OrchestrationReport report = run_fanout(
-      jobs, *launcher, parallel, args.retries, args.inject_fail, args.quiet,
-      args.heartbeat, !args.series_out.empty());
+  fanout.plan.args = args.forward();
+  const std::vector<dist::JobSpec> jobs = dist::plan_sweep_jobs(fanout.plan);
+  const dist::OrchestrationReport report =
+      dist::run_jobs(jobs, *fanout.launcher, fanout.supervise);
   if (!report.all_ok) {
     std::cerr << "rlbf_run orchestrate: run failed:\n"
               << report.failure_summary() << "\n";
@@ -2532,7 +2472,11 @@ int models(int argc, char** argv) {
 
   if (!args.export_dir.empty()) {
     std::vector<std::string> keys;
-    if (!args.export_keys.empty()) keys = split_names(args.export_keys, "--keys");
+    if (!args.export_keys.empty()) {
+      keys = split_names(args.export_keys, "--keys");
+    } else {
+      for (const model::StoreEntry& entry : store.list()) keys.push_back(entry.key);
+    }
     const std::vector<std::string> exported =
         store.export_bundle(args.export_dir, keys);
     std::cout << "# exported " << exported.size() << " entr"
