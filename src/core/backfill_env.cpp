@@ -108,9 +108,8 @@ std::optional<std::size_t> TrainingEnv::choose(const sim::BackfillContext& ctx) 
   if (candidate != kStopAction) {
     if (config_.delay_rule == DelayRule::EstimatePenalty) {
       const std::size_t job_idx = ctx.candidates[candidate];
-      if (!sched::EasyBackfillChooser::admissible_with_estimate(
-              ctx.trace[job_idx], ctx.reservation,
-              sim::context_estimate(ctx, job_idx), ctx.now)) {
+      if (!sched::EasyBackfillChooser::admissible(ctx.trace[job_idx], ctx.reservation,
+                                                  ctx.cache.estimate(job_idx), ctx.now)) {
         step.reward -= config_.delay_penalty;
       }
     } else if (config_.delay_rule == DelayRule::ActualDelayPenalty) {

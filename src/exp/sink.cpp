@@ -1,10 +1,12 @@
 #include "exp/sink.h"
 
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <locale>
 #include <sstream>
+
+#include "obs/json.h"
+#include "util/table.h"
 
 namespace rlbf::exp {
 
@@ -59,17 +61,6 @@ std::string format_count(double value) {
 
 namespace {
 
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string json_number(double value) {
   // NaN means "not measured"; infinities (a degenerate run dividing by
   // zero) have no JSON literal either — "inf" would poison the file.
@@ -77,31 +68,6 @@ std::string json_number(double value) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& field) {
-  std::string out;
-  for (const char c : field) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        // Remaining control bytes have no short escape and are illegal
-        // raw inside a JSON string — a scenario label containing one
-        // must not poison the whole summary file.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string summary_csv_header() {
   return "scenario,label,seed,jobs,bsld,avg_wait,utilization,backfilled,"
@@ -114,7 +80,7 @@ std::string summary_csv_row(const SummaryRow& row) {
   // calling std::locale::global(de_DE) must not turn seed=100000 into
   // the phantom-column-producing "100.000".
   os.imbue(std::locale::classic());
-  os << csv_escape(row.scenario) << ',' << csv_escape(row.label) << ','
+  os << util::csv_escape(row.scenario) << ',' << util::csv_escape(row.label) << ','
      << row.seed << ',' << row.jobs << ',' << format_metric(row.bsld) << ','
      << format_metric(row.avg_wait) << ',' << format_metric(row.utilization)
      << ',' << format_count(row.backfilled) << ',' << format_count(row.killed)
@@ -125,8 +91,8 @@ std::string summary_csv_row(const SummaryRow& row) {
 std::string summary_json_row(const SummaryRow& row) {
   std::ostringstream os;
   os.imbue(std::locale::classic());
-  os << "\"scenario\": \"" << json_escape(row.scenario) << "\", \"label\": \""
-     << json_escape(row.label) << "\", \"seed\": " << row.seed
+  os << "\"scenario\": \"" << obs::json::escape(row.scenario) << "\", \"label\": \""
+     << obs::json::escape(row.label) << "\", \"seed\": " << row.seed
      << ", \"jobs\": " << row.jobs;
   os << ", \"bsld\": " << json_number(row.bsld)
      << ", \"avg_wait\": " << json_number(row.avg_wait)

@@ -1,41 +1,20 @@
 #include "obs/series.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/table.h"
 
 namespace rlbf::obs {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -126,11 +105,11 @@ void write_series_jsonl(std::ostream& os, const std::vector<Series>& series,
      << epoch_anchor_us << "}\n";
   for (const Series& s : series) {
     for (const SeriesPoint& p : s.points) {
-      os << "{\"series\": \"" << escape(s.name) << "\", \"step\": " << p.step
+      os << "{\"series\": \"" << json::escape(s.name) << "\", \"step\": " << p.step
          << ", \"value\": " << format_number(p.value)
          << ", \"wall_us\": " << p.wall_us;
       if (!s.source.empty()) {
-        os << ", \"source\": \"" << escape(s.source) << "\"";
+        os << ", \"source\": \"" << json::escape(s.source) << "\"";
       }
       os << "}\n";
     }
@@ -288,6 +267,56 @@ SeriesDoc merge_series(const std::vector<LabeledSeries>& docs) {
 }
 
 // ------------------------------------------------------------- sampler
+
+std::string series_label(const Series& s) {
+  return s.source.empty() ? s.name : s.source + "/" + s.name;
+}
+
+void render_curves_aligned(std::ostream& os, const std::vector<Series>& series,
+                           bool csv) {
+  std::set<std::int64_t> steps;
+  std::vector<std::map<std::int64_t, double>> cells(series.size());
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    for (const SeriesPoint& p : series[i].points) {
+      steps.insert(p.step);
+      cells[i][p.step] = p.value;  // record order: last at a step wins
+    }
+  }
+  std::vector<std::string> headers;
+  headers.push_back("step");
+  for (const Series& s : series) headers.push_back(series_label(s));
+  util::Table table(headers);
+  for (const std::int64_t step : steps) {
+    std::vector<std::string> row;
+    row.push_back(std::to_string(step));
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      const auto it = cells[i].find(step);
+      row.push_back(it != cells[i].end() ? format_number(it->second) : std::string());
+    }
+    table.add_row(row);
+  }
+  if (csv) {
+    table.print_csv(os);
+  } else {
+    table.print(os);
+  }
+}
+
+void render_curves_json(std::ostream& os, const SeriesDoc& doc) {
+  os << "{\n  \"series\": [";
+  for (std::size_t i = 0; i < doc.series.size(); ++i) {
+    const Series& s = doc.series[i];
+    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << json::escape(s.name) << "\"";
+    if (!s.source.empty()) os << ", \"source\": \"" << json::escape(s.source) << "\"";
+    os << ", \"points\": [";
+    for (std::size_t k = 0; k < s.points.size(); ++k) {
+      os << (k == 0 ? "" : ", ") << "[" << s.points[k].step << ", "
+         << format_number(s.points[k].value) << "]";
+    }
+    os << "]}";
+  }
+  os << "\n  ]\n}\n";
+}
 
 RegistrySampler::RegistrySampler(SeriesRecorder& recorder, Options options)
     : recorder_(recorder), options_(std::move(options)) {}

@@ -36,7 +36,9 @@
 // anchor + steady elapsed — monotonic within a process and placeable on
 // a cross-process timebase.
 //
-// Like the rest of obs, this depends on the standard library only.
+// Like the rest of obs, this depends on the standard library only; the
+// curves renderings at the end also lay out through util::Table, a
+// standard-library-only leaf.
 #pragma once
 
 #include <chrono>
@@ -143,6 +145,28 @@ struct LabeledSeries {
 /// anchor. Throws std::invalid_argument on an empty input or a
 /// duplicate label.
 SeriesDoc merge_series(const std::vector<LabeledSeries>& docs);
+
+// ----------------------------------------------------------- rendering
+// What `rlbf_run curves` prints. None of them carries the wall-clock
+// field, so series from deterministic computations render identically
+// across reruns.
+
+/// The column label a series renders under: "name", or "source/name"
+/// once a fleet merge tagged it.
+std::string series_label(const Series& s);
+
+/// Step-aligned rendering: one row per step in the union of every
+/// series' steps, one column per series label. A series that recorded
+/// several points at one step (dist.attempt_seconds under retries) shows
+/// the LAST one — the full point list survives in the json rendering.
+/// `csv` writes RFC 4180 CSV (a label holding a comma, quote or newline
+/// is quoted); otherwise a padded text table.
+void render_curves_aligned(std::ostream& os, const std::vector<Series>& series,
+                           bool csv);
+
+/// JSON rendering: the full point lists as [step, value] pairs, names
+/// and sources escaped.
+void render_curves_json(std::ostream& os, const SeriesDoc& doc);
 
 // ------------------------------------------------------------- sampler
 

@@ -13,17 +13,14 @@ AvailabilityProfile::AvailabilityProfile(std::int64_t now, std::int64_t total)
   breakpoints_.push_back({now, total});
 }
 
-AvailabilityProfile AvailabilityProfile::from_cluster(
-    const sim::ClusterState& cluster, const swf::Trace& trace,
-    const sim::RuntimeEstimator& estimator, std::int64_t now,
-    sim::FeatureCache* cache) {
+AvailabilityProfile AvailabilityProfile::from_cluster(const sim::ClusterState& cluster,
+                                                      sim::FeatureCache& cache,
+                                                      std::int64_t now) {
   AvailabilityProfile profile(now, cluster.total_procs());
   for (const auto& r : cluster.running_jobs()) {
-    const std::int64_t est = cache != nullptr
-                                 ? cache->estimate(estimator, trace, r.job_index)
-                                 : estimator.estimate(trace[r.job_index]);
     // Snapshot-only estimated view; see sim::estimated_release.
-    const std::int64_t est_end = sim::estimated_release(r, est, now);
+    const std::int64_t est_end =
+        sim::estimated_release(r, cache.estimate(r.job_index), now);
     profile.reserve(now, r.procs, est_end - now);
   }
   return profile;
@@ -93,7 +90,7 @@ std::vector<std::int64_t> plan_starts(AvailabilityProfile profile,
   starts.reserve(order.size());
   for (const std::size_t idx : order) {
     const auto& job = ctx.trace[idx];
-    const std::int64_t dur = sim::context_estimate(ctx, idx);
+    const std::int64_t dur = ctx.cache.estimate(idx);
     const std::int64_t s = profile.earliest_start(job.procs(), dur);
     profile.reserve(s, job.procs(), dur);
     starts.push_back(s);
@@ -113,8 +110,8 @@ void PlanningBackfillChooser::episode_end(const std::vector<sim::JobResult>&) {
 template <class Allowance>
 std::optional<std::size_t> PlanningBackfillChooser::choose_with_allowance(
     const sim::BackfillContext& ctx, Allowance allowance) {
-  const AvailabilityProfile base = AvailabilityProfile::from_cluster(
-      ctx.cluster, ctx.trace, ctx.estimator, ctx.now, ctx.cache);
+  const AvailabilityProfile base =
+      AvailabilityProfile::from_cluster(ctx.cluster, ctx.cache, ctx.now);
 
   // Baseline plan: every queued job packed in priority order.
   const std::vector<std::int64_t> baseline = plan_starts(base, ctx.queue, ctx);
@@ -129,13 +126,13 @@ std::optional<std::size_t> PlanningBackfillChooser::choose_with_allowance(
     // without planning the rest of the queue.
     AvailabilityProfile with_cand = base;
     const auto& cjob = ctx.trace[cand];
-    with_cand.reserve(ctx.now, cjob.procs(), sim::context_estimate(ctx, cand));
+    with_cand.reserve(ctx.now, cjob.procs(), ctx.cache.estimate(cand));
     bool delays = false;
     for (std::size_t q = 0; q < ctx.queue.size(); ++q) {
       const std::size_t idx = ctx.queue[q];
       if (idx == cand) continue;
       const auto& job = ctx.trace[idx];
-      const std::int64_t dur = sim::context_estimate(ctx, idx);
+      const std::int64_t dur = ctx.cache.estimate(idx);
       const std::int64_t s = with_cand.earliest_start(job.procs(), dur);
       ++plan_queries_;
       if (s > baseline[q] + allowance(idx)) {
@@ -162,13 +159,7 @@ SlackBackfillChooser::SlackBackfillChooser(double slack_factor,
   }
 }
 
-std::int64_t SlackBackfillChooser::allowance(
-    const swf::Job& job, const sim::RuntimeEstimator& estimator) const {
-  return allowance_from_estimate(estimator.estimate(job));
-}
-
-std::int64_t SlackBackfillChooser::allowance_from_estimate(
-    std::int64_t estimate) const {
+std::int64_t SlackBackfillChooser::allowance(std::int64_t estimate) const {
   const double proportional = slack_factor_ * static_cast<double>(estimate);
   return fixed_slack_ + static_cast<std::int64_t>(proportional);
 }
@@ -176,7 +167,7 @@ std::int64_t SlackBackfillChooser::allowance_from_estimate(
 std::optional<std::size_t> SlackBackfillChooser::choose(
     const sim::BackfillContext& ctx) {
   return choose_with_allowance(ctx, [&](std::size_t idx) {
-    return allowance_from_estimate(sim::context_estimate(ctx, idx));
+    return allowance(ctx.cache.estimate(idx));
   });
 }
 

@@ -24,15 +24,12 @@ class AvailabilityProfile {
   AvailabilityProfile(std::int64_t now, std::int64_t total);
 
   /// Build from the cluster's running set, using estimated end times
-  /// (elapsed estimates clamp to now + 1, as in compute_reservation —
-  /// both sites share sim::estimated_release, applied to a snapshot
-  /// only; the cluster's actual end times must never be patched).
-  /// `cache` optionally memoizes the runtime estimates.
+  /// read through `cache` (elapsed estimates clamp to now + 1, as in
+  /// compute_reservation — both sites share sim::estimated_release,
+  /// applied to a snapshot only; the cluster's actual end times must
+  /// never be patched).
   static AvailabilityProfile from_cluster(const sim::ClusterState& cluster,
-                                          const swf::Trace& trace,
-                                          const sim::RuntimeEstimator& estimator,
-                                          std::int64_t now,
-                                          sim::FeatureCache* cache = nullptr);
+                                          sim::FeatureCache& cache, std::int64_t now);
 
   /// Earliest time >= now at which `procs` processors stay free for
   /// `duration` seconds (a `duration` <= 0 counts as 1). O(B): one
@@ -127,11 +124,8 @@ class SlackBackfillChooser final : public PlanningBackfillChooser {
   std::optional<std::size_t> choose(const sim::BackfillContext& ctx) override;
   std::string name() const override { return "SLACK"; }
 
-  /// The delay allowance for one job.
-  std::int64_t allowance(const swf::Job& job,
-                         const sim::RuntimeEstimator& estimator) const;
-  /// Allowance from an already-known runtime estimate.
-  std::int64_t allowance_from_estimate(std::int64_t estimate) const;
+  /// The delay allowance for a job with runtime estimate `estimate`.
+  std::int64_t allowance(std::int64_t estimate) const;
 
  private:
   double slack_factor_;

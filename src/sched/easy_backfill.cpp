@@ -7,16 +7,8 @@ namespace rlbf::sched {
 EasyBackfillChooser::EasyBackfillChooser(BackfillOrder order) : order_(order) {}
 
 bool EasyBackfillChooser::admissible(const swf::Job& candidate,
-                                     const sim::Reservation& res,
-                                     const sim::RuntimeEstimator& estimator,
+                                     const sim::Reservation& res, std::int64_t estimate,
                                      std::int64_t now) {
-  return admissible_with_estimate(candidate, res, estimator.estimate(candidate), now);
-}
-
-bool EasyBackfillChooser::admissible_with_estimate(const swf::Job& candidate,
-                                                   const sim::Reservation& res,
-                                                   std::int64_t estimate,
-                                                   std::int64_t now) {
   const std::int64_t est_end = now + estimate;
   if (est_end <= res.shadow_time) return true;      // done before the reservation
   return candidate.procs() <= res.extra_procs;      // fits the spare processors
@@ -31,8 +23,8 @@ std::optional<std::size_t> EasyBackfillChooser::choose(const sim::BackfillContex
       break;
     case BackfillOrder::ShortestFirst:
       std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return sim::context_estimate(ctx, ctx.candidates[a]) <
-               sim::context_estimate(ctx, ctx.candidates[b]);
+        return ctx.cache.estimate(ctx.candidates[a]) <
+               ctx.cache.estimate(ctx.candidates[b]);
       });
       break;
     case BackfillOrder::WidestFirst:
@@ -49,9 +41,8 @@ std::optional<std::size_t> EasyBackfillChooser::choose(const sim::BackfillContex
       break;
   }
   for (const std::size_t i : order) {
-    if (admissible_with_estimate(ctx.trace[ctx.candidates[i]], ctx.reservation,
-                                 sim::context_estimate(ctx, ctx.candidates[i]),
-                                 ctx.now)) {
+    if (admissible(ctx.trace[ctx.candidates[i]], ctx.reservation,
+                   ctx.cache.estimate(ctx.candidates[i]), ctx.now)) {
       return i;
     }
   }

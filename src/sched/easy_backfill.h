@@ -34,15 +34,10 @@ class EasyBackfillChooser final : public sim::BackfillChooser {
   std::optional<std::size_t> choose(const sim::BackfillContext& ctx) override;
   std::string name() const override;
 
-  /// The EASY admission test for one candidate against a reservation.
+  /// The EASY admission test for one candidate, with runtime estimate
+  /// `estimate`, against a reservation.
   static bool admissible(const swf::Job& candidate, const sim::Reservation& res,
-                         const sim::RuntimeEstimator& estimator, std::int64_t now);
-
-  /// Same test with the runtime estimate supplied by the caller (hot
-  /// paths pull it from the per-simulation FeatureCache).
-  static bool admissible_with_estimate(const swf::Job& candidate,
-                                       const sim::Reservation& res,
-                                       std::int64_t estimate, std::int64_t now);
+                         std::int64_t estimate, std::int64_t now);
 
  private:
   BackfillOrder order_;

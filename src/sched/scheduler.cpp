@@ -21,23 +21,16 @@ std::string SchedulerSpec::label() const {
   os << policy;
   if (uses_agent()) {
     os << "+RLBF";
-    switch (estimate) {
-      case EstimateKind::RequestTime: break;
-      case EstimateKind::ActualRuntime: os << "-AR"; break;
-      case EstimateKind::Noisy:
-        os << "+" << static_cast<int>(std::lround(noise_fraction * 100.0)) << "%";
-        break;
+  } else {
+    switch (backfill) {
+      case BackfillKind::None: os << "+NOBF"; break;
+      case BackfillKind::Easy: os << "+EASY"; break;
+      case BackfillKind::EasySjf: os << "+EASY-SJF"; break;
+      case BackfillKind::EasyBestFit: os << "+EASY-BF"; break;
+      case BackfillKind::EasyWorstFit: os << "+EASY-WF"; break;
+      case BackfillKind::Conservative: os << "+CONS"; break;
+      case BackfillKind::Slack: os << "+SLACK"; break;
     }
-    return os.str();
-  }
-  switch (backfill) {
-    case BackfillKind::None: os << "+NOBF"; break;
-    case BackfillKind::Easy: os << "+EASY"; break;
-    case BackfillKind::EasySjf: os << "+EASY-SJF"; break;
-    case BackfillKind::EasyBestFit: os << "+EASY-BF"; break;
-    case BackfillKind::EasyWorstFit: os << "+EASY-WF"; break;
-    case BackfillKind::Conservative: os << "+CONS"; break;
-    case BackfillKind::Slack: os << "+SLACK"; break;
   }
   switch (estimate) {
     case EstimateKind::RequestTime: break;  // the default EASY reading

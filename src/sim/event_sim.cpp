@@ -16,16 +16,8 @@ std::int64_t estimated_release(const RunningJob& r, std::int64_t estimate,
   return std::max(r.start_time + estimate, now + 1);
 }
 
-Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
-                                const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now) {
-  std::vector<RunningJob> scratch;
-  return compute_reservation(cluster, trace, rjob, estimator, now, nullptr, scratch);
-}
-
-Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
-                                const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now, FeatureCache* cache,
+Reservation compute_reservation(const ClusterState& cluster, const swf::Job& rjob,
+                                std::int64_t now, FeatureCache& cache,
                                 std::vector<RunningJob>& scratch) {
   Reservation res;
   const std::int64_t need = rjob.procs();
@@ -41,10 +33,7 @@ Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& t
   // estimated-end ties identically across calls.
   cluster.running_jobs_into(scratch);
   for (auto& r : scratch) {
-    const std::int64_t est = cache != nullptr
-                                 ? cache->estimate(estimator, trace, r.job_index)
-                                 : estimator.estimate(trace[r.job_index]);
-    r.end_time = estimated_release(r, est, now);
+    r.end_time = estimated_release(r, cache.estimate(r.job_index), now);
   }
   std::sort(scratch.begin(), scratch.end(),
             [](const RunningJob& a, const RunningJob& b) { return a.end_time < b.end_time; });
@@ -69,11 +58,10 @@ class SimRunner {
             const SimulationOptions& options)
       : trace_(trace),
         policy_(policy),
-        estimator_(estimator),
         chooser_(chooser),
         options_(options),
         cluster_(trace.machine_procs()),
-        cache_(trace.size()),
+        cache_(trace, estimator),
         time_invariant_(policy.time_invariant()) {}
 
   std::vector<JobResult> run() {
@@ -234,11 +222,11 @@ class SimRunner {
         }
       }
       if (candidates_.empty()) return;
-      const Reservation res = compute_reservation(
-          cluster_, trace_, trace_[rjob], estimator_, now, &cache_, running_scratch_);
+      const Reservation res =
+          compute_reservation(cluster_, trace_[rjob], now, cache_, running_scratch_);
       cache_.begin_decision();
-      const BackfillContext ctx{trace_, cluster_, estimator_, now,
-                                rjob, res, queue_, candidates_, &cache_};
+      const BackfillContext ctx{trace_,  cluster_, cache_,  now,
+                                rjob,    res,      queue_,  candidates_};
       ++decisions_;
       const auto pick = chooser_->choose(ctx);
       if (!pick.has_value()) return;
@@ -255,11 +243,11 @@ class SimRunner {
 
   const swf::Trace& trace_;
   const PriorityPolicy& policy_;
-  const RuntimeEstimator& estimator_;
   BackfillChooser* chooser_;
   SimulationOptions options_;
 
   ClusterState cluster_;
+  FeatureCache cache_;  // every estimate of this run goes through it
   std::vector<std::size_t> queue_;  // pending trace indices
   std::vector<JobResult> results_;
   std::size_t next_arrival_ = 0;
@@ -267,7 +255,6 @@ class SimRunner {
 
   // Incremental-order bookkeeping: the queue is sorted iff queue_sorted_
   // and (the policy is time-invariant or sorted_now_ == current time).
-  FeatureCache cache_;
   bool time_invariant_ = false;
   bool queue_sorted_ = true;  // vacuously: the queue starts empty
   std::int64_t sorted_now_ = std::numeric_limits<std::int64_t>::min();

@@ -10,8 +10,8 @@
 // interface, so every strategy is evaluated under identical semantics.
 //
 // Two clocks coexist by design: resources release at the job's *actual*
-// runtime, while choosers only see *estimates* through the
-// RuntimeEstimator. The gap between the two is the paper's subject.
+// runtime, while choosers only see *estimates*, read through the run's
+// FeatureCache. The gap between the two is the paper's subject.
 #pragma once
 
 #include <cstdint>
@@ -67,27 +67,29 @@ struct Reservation {
 std::int64_t estimated_release(const RunningJob& r, std::int64_t estimate,
                                std::int64_t now);
 
-/// Per-simulation memo for values that are pure functions of one job:
-/// runtime estimates (NoisyEstimator rebuilds an RNG per call — the
+/// Per-simulation memo and the one way any code reads a job's runtime
+/// estimate: estimates (NoisyEstimator rebuilds an RNG per call — the
 /// dominant per-decision cost) and the log-scaled observation features
 /// derived from them, plus the submit-time-sorted queue shared by every
-/// observation built for the same decision. Owned by the simulation run;
-/// choosers reach it through BackfillContext::cache and must also work
-/// when it is null (contexts built outside the simulator, e.g. tests).
-/// Memoization is exact: re-reading a cached value yields the identical
-/// bits the direct computation would.
+/// observation built for the same decision. The simulator owns one per
+/// run and hands it to choosers as BackfillContext::cache; code that
+/// builds a context outside the simulator (tests) builds a cache over
+/// the same trace and estimator. Memoization is lazy and exact:
+/// re-reading a cached value yields the identical bits the direct
+/// computation would, and the estimator runs at most once per job.
 class FeatureCache {
  public:
-  explicit FeatureCache(std::size_t trace_size)
-      : estimates_(trace_size, -1),
-        log_request_(trace_size, -1.0),
-        log_estimate_(trace_size, -1.0) {}
+  FeatureCache(const swf::Trace& trace, const RuntimeEstimator& estimator)
+      : trace_(trace),
+        estimator_(estimator),
+        estimates_(trace.size(), -1),
+        log_request_(trace.size(), -1.0),
+        log_estimate_(trace.size(), -1.0) {}
 
   /// Memoized estimator.estimate(trace[job_index]) (always >= 1).
-  std::int64_t estimate(const RuntimeEstimator& estimator, const swf::Trace& trace,
-                        std::size_t job_index) {
+  std::int64_t estimate(std::size_t job_index) {
     std::int64_t& slot = estimates_[job_index];
-    if (slot < 0) slot = estimator.estimate(trace[job_index]);
+    if (slot < 0) slot = estimator_.estimate(trace_[job_index]);
     return slot;
   }
 
@@ -110,6 +112,8 @@ class FeatureCache {
   }
 
  private:
+  const swf::Trace& trace_;
+  const RuntimeEstimator& estimator_;
   std::vector<std::int64_t> estimates_;
   std::vector<double> log_request_;
   std::vector<double> log_estimate_;
@@ -117,27 +121,24 @@ class FeatureCache {
   bool sorted_queue_valid_ = false;
 };
 
-/// Compute the reservation for `rjob` against the current running set.
-/// Estimated ends that already elapsed (under-predictions) are treated as
-/// "due now" (clamped to now + 1).
-Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
-                                const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now);
-
-/// Hot-path variant: reuses a caller-owned snapshot buffer and (when
-/// `cache` is non-null) memoized runtime estimates. Bit-identical to the
-/// plain overload — the snapshot preserves heap pop order, so the
-/// unstable sort over estimated ends sees the same input sequence.
-Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
-                                const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now, FeatureCache* cache,
+/// Compute the reservation for `rjob` against the current running set,
+/// with the running jobs' estimates read through `cache`. Estimated ends
+/// that already elapsed (under-predictions) are treated as "due now"
+/// (clamped to now + 1). `scratch` is a caller-owned snapshot buffer
+/// reused across calls; the snapshot preserves heap pop order, so the
+/// unstable sort over estimated ends resolves ties identically on every
+/// call.
+Reservation compute_reservation(const ClusterState& cluster, const swf::Job& rjob,
+                                std::int64_t now, FeatureCache& cache,
                                 std::vector<RunningJob>& scratch);
 
 /// Everything a chooser may inspect when picking a backfill candidate.
 struct BackfillContext {
   const swf::Trace& trace;
   const ClusterState& cluster;
-  const RuntimeEstimator& estimator;
+  /// The run's estimate memo: every runtime estimate a chooser plans
+  /// with is cache.estimate(trace index).
+  FeatureCache& cache;
   std::int64_t now = 0;
   std::size_t rjob = 0;            // blocked head job (trace index)
   Reservation reservation;         // rjob's current EASY reservation
@@ -146,19 +147,7 @@ struct BackfillContext {
   /// Jobs that fit the free processors right now, priority order,
   /// excluding rjob. Never empty when choose() is called.
   const std::vector<std::size_t>& candidates;
-  /// Per-simulation feature memo; null for contexts built outside the
-  /// simulator. Trailing + defaulted so existing aggregate initializers
-  /// keep working.
-  FeatureCache* cache = nullptr;
 };
-
-/// Runtime estimate for trace[job_index], memoized through the context's
-/// cache when present.
-inline std::int64_t context_estimate(const BackfillContext& ctx, std::size_t job_index) {
-  return ctx.cache != nullptr
-             ? ctx.cache->estimate(ctx.estimator, ctx.trace, job_index)
-             : ctx.estimator.estimate(ctx.trace[job_index]);
-}
 
 /// Strategy consulted at backfilling opportunities.
 class BackfillChooser {

@@ -44,7 +44,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -55,7 +54,6 @@ std::string csv_escape(const std::string& s) {
   out += '"';
   return out;
 }
-}  // namespace
 
 void Table::print_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& row) {

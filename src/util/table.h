@@ -39,6 +39,10 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// One CSV field: returned as is unless it holds a comma, quote or
+/// newline, else wrapped in quotes with inner quotes doubled (RFC 4180).
+std::string csv_escape(const std::string& s);
+
 /// Write a self-contained gnuplot script that renders a wide-format CSV
 /// (as produced by Table::save_csv: one header row, column 1 = x values,
 /// every further column = one series named by its header) into

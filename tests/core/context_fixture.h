@@ -1,6 +1,8 @@
 // Shared helper for core tests: assembles a sim::BackfillContext over an
 // explicit set of running and queued jobs, mirroring what the simulator
-// passes to choosers at a backfilling opportunity.
+// passes to choosers at a backfilling opportunity — estimates included,
+// which come from the fixture's own FeatureCache exactly as they come
+// from the simulator's.
 #pragma once
 
 #include <utility>
@@ -40,18 +42,25 @@ class ContextFixture {
     for (std::size_t i = 1; i < queue.size(); ++i) {
       if (cluster.can_fit(trace[queue[i]].procs())) candidates.push_back(queue[i]);
     }
-    reservation =
-        sim::compute_reservation(cluster, trace, trace[queue[0]], estimator, now);
+    std::vector<sim::RunningJob> scratch;
+    reservation = sim::compute_reservation(cluster, trace[queue[0]], now, cache, scratch);
   }
+  // The cache refers to this fixture's trace and estimator.
+  ContextFixture(const ContextFixture&) = delete;
+  ContextFixture& operator=(const ContextFixture&) = delete;
 
+  /// A fresh decision over the fixture's state, as the simulator opens
+  /// one per chooser consultation.
   sim::BackfillContext context() const {
-    return sim::BackfillContext{trace,       cluster, estimator, now,
+    cache.begin_decision();
+    return sim::BackfillContext{trace,         cluster,     cache, now,
                                 queue.front(), reservation, queue, candidates};
   }
 
   swf::Trace trace;
   sim::ClusterState cluster;
   sched::RequestTimeEstimator estimator;
+  mutable sim::FeatureCache cache{trace, estimator};
   std::vector<std::size_t> queue;
   std::vector<std::size_t> candidates;
   sim::Reservation reservation;

@@ -31,6 +31,7 @@ struct Scenario {
                     make_job(3, 2, 10, 2, 20)}};
   sim::ClusterState cluster{8};
   sched::RequestTimeEstimator estimator;
+  mutable sim::FeatureCache cache{trace, estimator};
   std::vector<std::size_t> queue{1, 2};
   std::vector<std::size_t> candidates{2};
   sim::Reservation reservation;
@@ -38,12 +39,15 @@ struct Scenario {
 
   Scenario() {
     cluster.start(0, 6, 0, 100);
-    reservation =
-        sim::compute_reservation(cluster, trace, trace[1], estimator, now);
+    std::vector<sim::RunningJob> scratch;
+    reservation = sim::compute_reservation(cluster, trace[1], now, cache, scratch);
   }
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
 
   sim::BackfillContext ctx() const {
-    return sim::BackfillContext{trace,       cluster, estimator, now, 1,
+    cache.begin_decision();
+    return sim::BackfillContext{trace,       cluster, cache,     now, 1,
                                 reservation, queue,   candidates};
   }
 };

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -237,6 +238,94 @@ TEST(SeriesMergeTest, EmptyInputAndDuplicateLabelsAreNamedErrors) {
   const obs::SeriesDoc a = doc_with("s", {{1, 1.0, 0}}, 0);
   expect_throw_containing<std::invalid_argument>(
       [&] { obs::merge_series({{"w", a}, {"w", a}}); }, "duplicate label");
+}
+
+// ---- curves renderings ---------------------------------------------------
+
+/// A series name holding every character that needs quoting in JSON or
+/// CSV; a loaded or merged series file can carry any of them.
+const char* const kHostileName = "odd\"name\\with,comma";
+
+obs::SeriesDoc hostile_doc() {
+  obs::SeriesDoc doc;
+  obs::Series plain;
+  plain.name = "train.loss";
+  plain.points = {{1, 0.5, 11}, {2, 0.25, 12}};
+  obs::Series odd;
+  odd.name = kHostileName;
+  odd.source = "worker\"0\\";
+  odd.points = {{2, 1.0, 13}, {2, 3.0, 14}};
+  doc.series = {plain, odd};
+  return doc;
+}
+
+/// Split one CSV record into its fields (RFC 4180 quoting).
+std::vector<std::string> csv_fields(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST(CurvesRenderTest, JsonWithHostileNamesParsesBack) {
+  const obs::SeriesDoc doc = hostile_doc();
+  std::ostringstream os;
+  obs::render_curves_json(os, doc);
+  const obs::json::Value v = obs::json::parse(os.str(), "curves");
+  const obs::json::Value& series = v.at("series");
+  ASSERT_EQ(series.items.size(), 2u);
+  EXPECT_EQ(series.items[0].string_at("name"), "train.loss");
+  EXPECT_EQ(series.items[0].find("source"), nullptr);
+  EXPECT_EQ(series.items[1].string_at("name"), kHostileName);
+  EXPECT_EQ(series.items[1].string_at("source"), "worker\"0\\");
+  // Both points at step 2 survive; the wall clock does not appear.
+  ASSERT_EQ(series.items[1].at("points").items.size(), 2u);
+  EXPECT_EQ(os.str().find("wall"), std::string::npos);
+}
+
+TEST(CurvesRenderTest, CsvHeaderQuotesHostileLabels) {
+  const obs::SeriesDoc doc = hostile_doc();
+  std::ostringstream os;
+  obs::render_curves_aligned(os, doc.series, /*csv=*/true);
+  std::istringstream lines(os.str());
+  std::string header, row1, row2;
+  std::getline(lines, header);
+  std::getline(lines, row1);
+  std::getline(lines, row2);
+  EXPECT_EQ(csv_fields(header),
+            (std::vector<std::string>{"step", "train.loss",
+                                      obs::series_label(doc.series[1])}));
+  EXPECT_EQ(obs::series_label(doc.series[1]),
+            std::string("worker\"0\\/") + kHostileName);
+  // One row per step; the last point recorded at a step wins.
+  EXPECT_EQ(row1, "1,0.5,");
+  EXPECT_EQ(row2, "2,0.25,3");
+}
+
+TEST(CurvesRenderTest, TableAlignsStepsAcrossSeries) {
+  const obs::SeriesDoc doc = hostile_doc();
+  std::ostringstream os;
+  obs::render_curves_aligned(os, doc.series, /*csv=*/false);
+  std::istringstream lines(os.str());
+  std::string header, row1;
+  std::getline(lines, header);
+  std::getline(lines, row1);
+  EXPECT_EQ(header.rfind("step", 0), 0u);
+  EXPECT_NE(header.find(obs::series_label(doc.series[1])), std::string::npos);
+  EXPECT_EQ(row1.rfind("1 ", 0), 0u);
+  EXPECT_NE(row1.find("0.5"), std::string::npos);
 }
 
 // ---- registry sampler ---------------------------------------------------

@@ -199,8 +199,8 @@ TEST(Profile, FromClusterUsesEstimatedEnds) {
   sim::ClusterState cluster(8);
   cluster.start(0, 8, 0, 1000);
   RequestTimeEstimator est;
-  const auto profile =
-      AvailabilityProfile::from_cluster(cluster, trace, est, /*now=*/200);
+  sim::FeatureCache cache(trace, est);
+  const auto profile = AvailabilityProfile::from_cluster(cluster, cache, /*now=*/200);
   // Estimate already elapsed: treated as due at now + 1.
   EXPECT_EQ(profile.free_at(200), 0);
   EXPECT_EQ(profile.free_at(201), 8);
@@ -251,14 +251,8 @@ TEST(Slack, RejectsNegativeParameters) {
 
 TEST(Slack, AllowanceScalesWithEstimate) {
   const SlackBackfillChooser slack(0.5, 600);
-  RequestTimeEstimator est;
-  swf::Job j;
-  j.requested_time = 1000;
-  j.run_time = 1000;
-  j.requested_procs = 1;
-  EXPECT_EQ(slack.allowance(j, est), 600 + 500);
-  j.requested_time = 10000;
-  EXPECT_EQ(slack.allowance(j, est), 600 + 5000);
+  EXPECT_EQ(slack.allowance(1000), 600 + 500);
+  EXPECT_EQ(slack.allowance(10000), 600 + 5000);
 }
 
 TEST(Slack, ZeroSlackEqualsConservative) {

@@ -18,32 +18,30 @@ swf::Job make_job(std::int64_t id, std::int64_t run, std::int64_t procs,
   return j;
 }
 
+// The admission test reads the candidate's estimate and processor count;
+// each job below runs exactly as long as the estimate passed with it.
 TEST(EasyAdmissible, FinishesBeforeShadow) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{/*shadow_time=*/100, /*extra_procs=*/0};
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 50, 4), res, ar, 40));
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 60, 4), res, ar, 40));
+  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 50, 4), res, 50, 40));
+  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 60, 4), res, 60, 40));
 }
 
 TEST(EasyAdmissible, RejectedPastShadowWithoutExtraNodes) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 0};
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 61, 4), res, ar, 40));
+  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 61, 4), res, 61, 40));
 }
 
 TEST(EasyAdmissible, ExtraNodesAdmitNarrowOverhang) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 3};
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 10000, 3), res, ar, 40));
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 10000, 4), res, ar, 40));
+  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 10000, 3), res, 10000, 40));
+  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 10000, 4), res, 10000, 40));
 }
 
 TEST(EasyAdmissible, BoundaryExactlyAtShadow) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 0};
   // now + est == shadow is allowed (finishes exactly at the reservation).
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 100, 2), res, ar, 0));
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 101, 2), res, ar, 0));
+  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 100, 2), res, 100, 0));
+  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 101, 2), res, 101, 0));
 }
 
 /// Assemble a BackfillContext over explicit running/queued jobs.
@@ -61,17 +59,23 @@ struct ContextFixture {
     for (std::size_t i = 1; i < queue.size(); ++i) {
       if (cluster.can_fit(trace[queue[i]].procs())) candidates.push_back(queue[i]);
     }
-    reservation = sim::compute_reservation(cluster, trace, trace[queue[0]], est, now_);
+    std::vector<sim::RunningJob> scratch;
+    reservation = sim::compute_reservation(cluster, trace[queue[0]], now_, cache, scratch);
   }
+  // The cache refers to this fixture's trace and estimator.
+  ContextFixture(const ContextFixture&) = delete;
+  ContextFixture& operator=(const ContextFixture&) = delete;
 
   sim::BackfillContext context() {
-    return sim::BackfillContext{trace, cluster,     est,   now_,
+    cache.begin_decision();
+    return sim::BackfillContext{trace,    cluster,     cache, now_,
                                 queue[0], reservation, queue, candidates};
   }
 
   swf::Trace trace;
   sim::ClusterState cluster;
   ActualRuntimeEstimator est;
+  sim::FeatureCache cache{trace, est};
   std::vector<std::size_t> queue;
   std::vector<std::size_t> candidates;
   sim::Reservation reservation;

@@ -25,6 +25,19 @@ TEST(SchedulerSpec, LabelsMatchPaperNaming) {
   EXPECT_EQ(noisy.label(), "FCFS+EASY+20%");
 }
 
+TEST(SchedulerSpec, AgentLabelsCarryTheEstimateSuffix) {
+  // An agent replaces the backfill part of the label; the estimate
+  // suffix reads as it does for the heuristics.
+  SchedulerSpec rl{"FCFS", BackfillKind::Easy, EstimateKind::RequestTime};
+  rl.agent = "sdsc-tiny";
+  EXPECT_EQ(rl.label(), "FCFS+RLBF");
+  rl.estimate = EstimateKind::ActualRuntime;
+  EXPECT_EQ(rl.label(), "FCFS+RLBF-AR");
+  rl.estimate = EstimateKind::Noisy;
+  rl.noise_fraction = 0.20;
+  EXPECT_EQ(rl.label(), "FCFS+RLBF+20%");
+}
+
 TEST(ConfiguredScheduler, WiresPolicyAndEstimator) {
   SchedulerSpec spec{"SJF", BackfillKind::Easy, EstimateKind::ActualRuntime};
   const ConfiguredScheduler sched(spec);

@@ -1,7 +1,11 @@
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "sched/easy_backfill.h"
 #include "sched/policies.h"
@@ -122,8 +126,10 @@ TEST(EventSim, ReservationComputation) {
   cluster.start(0, 6, 0, 100);
   cluster.start(1, 3, 0, 200);
   ActualRuntimeEstimator ar;
+  FeatureCache cache(t, ar);
+  std::vector<RunningJob> scratch;
   const swf::Job rjob = make_job(3, 5, 50, 8);
-  const Reservation res = compute_reservation(cluster, t, rjob, ar, 5);
+  const Reservation res = compute_reservation(cluster, rjob, 5, cache, scratch);
   // free 1; J1 ends 100 -> free 7 < 8; J2 ends 200 -> free 10 >= 8.
   EXPECT_EQ(res.shadow_time, 200);
   EXPECT_EQ(res.extra_procs, 2);
@@ -134,7 +140,9 @@ TEST(EventSim, ReservationImmediateWhenJobFits) {
   ClusterState cluster(10);
   cluster.start(0, 2, 0, 100);
   ActualRuntimeEstimator ar;
-  const Reservation res = compute_reservation(cluster, t, make_job(2, 5, 1, 4), ar, 5);
+  FeatureCache cache(t, ar);
+  std::vector<RunningJob> scratch;
+  const Reservation res = compute_reservation(cluster, make_job(2, 5, 1, 4), 5, cache, scratch);
   EXPECT_EQ(res.shadow_time, 5);
   EXPECT_EQ(res.extra_procs, 4);
 }
@@ -146,7 +154,10 @@ TEST(EventSim, ReservationClampsElapsedEstimates) {
   ClusterState cluster(4);
   cluster.start(0, 4, 0, 1000);
   sched::RequestTimeEstimator rt;  // estimate 10, elapsed at now=500
-  const Reservation res = compute_reservation(cluster, t, make_job(2, 1, 1, 2), rt, 500);
+  FeatureCache cache(t, rt);
+  std::vector<RunningJob> scratch;
+  const Reservation res =
+      compute_reservation(cluster, make_job(2, 1, 1, 2), 500, cache, scratch);
   EXPECT_EQ(res.shadow_time, 501);
 }
 
@@ -410,10 +421,13 @@ TEST(EventSim, IncrementalQueueMatchesFullResortPath) {
   }
 }
 
-TEST(EventSim, CachedReservationMatchesPlainOverload) {
-  // Equal estimated ends exercise the unstable sort's tie behavior; the
-  // cached overload must resolve them identically because it feeds the
-  // sort the same pop-order snapshot.
+TEST(EventSim, ReservationMatchesSortedReleaseOracle) {
+  // Independent reference: sort the running set by estimated release and
+  // add processors until the head job fits. Equal estimated ends
+  // exercise the unstable sort's tie behavior; ties release at the same
+  // instant, so the shadow time and the spare processors do not depend
+  // on how they are ordered. The cold pass fills the estimate memo, the
+  // second reads it back and must agree.
   swf::Trace t("t", 32,
                {make_job(1, 0, 500, 6, 100), make_job(2, 0, 500, 6, 100),
                 make_job(3, 0, 400, 6, 80), make_job(4, 0, 600, 6, 100),
@@ -421,17 +435,30 @@ TEST(EventSim, CachedReservationMatchesPlainOverload) {
   ClusterState cluster(32);
   for (std::size_t i = 0; i < 5; ++i) cluster.start(i, 6, 0, t[i].run_time);
   sched::RequestTimeEstimator est;
-  FeatureCache cache(t.size());
+  FeatureCache cache(t, est);
   std::vector<RunningJob> scratch;
+  const std::int64_t now = 10;
   for (std::int64_t need = 8; need <= 32; need += 6) {
+    // Every job started at 0 on 6 processors; its estimate is its request.
+    std::vector<std::pair<std::int64_t, std::int64_t>> releases;  // (end, procs)
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      releases.push_back({std::max(0 + t[i].requested_time, now + 1), 6});
+    }
+    std::sort(releases.begin(), releases.end());
+    Reservation expected;
+    std::int64_t free_procs = cluster.free_procs();
+    for (const auto& [end, procs] : releases) {
+      free_procs += procs;
+      if (free_procs >= need) {
+        expected = {end, free_procs - need};
+        break;
+      }
+    }
     const swf::Job rjob = make_job(9, 1, 50, need);
-    const Reservation plain = compute_reservation(cluster, t, rjob, est, 10);
-    // Twice through the cached overload: cold estimates, then memoized.
     for (int pass = 0; pass < 2; ++pass) {
-      const Reservation cached =
-          compute_reservation(cluster, t, rjob, est, 10, &cache, scratch);
-      EXPECT_EQ(cached.shadow_time, plain.shadow_time) << "need " << need;
-      EXPECT_EQ(cached.extra_procs, plain.extra_procs) << "need " << need;
+      const Reservation got = compute_reservation(cluster, rjob, now, cache, scratch);
+      EXPECT_EQ(got.shadow_time, expected.shadow_time) << "need " << need;
+      EXPECT_EQ(got.extra_procs, expected.extra_procs) << "need " << need;
     }
   }
 }

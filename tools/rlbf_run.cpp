@@ -1588,77 +1588,6 @@ struct CurvesArgs {
   }
 };
 
-/// The column label a series renders under: "name", or "source/name"
-/// once a fleet merge tagged it.
-std::string series_label(const obs::Series& s) {
-  return s.source.empty() ? s.name : s.source + "/" + s.name;
-}
-
-/// Step-aligned rendering: one row per step in the union of every
-/// series' steps, one column per series. A series that recorded several
-/// points at one step (dist.attempt_seconds under retries) shows the
-/// LAST one — the full point list survives in the json format.
-void render_curves_aligned(std::ostream& os,
-                           const std::vector<obs::Series>& series, bool csv) {
-  std::set<std::int64_t> steps;
-  std::vector<std::map<std::int64_t, double>> cells(series.size());
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    for (const obs::SeriesPoint& p : series[i].points) {
-      steps.insert(p.step);
-      cells[i][p.step] = p.value;  // record order: last at a step wins
-    }
-  }
-  std::vector<std::string> headers;
-  headers.push_back("step");
-  for (const obs::Series& s : series) headers.push_back(series_label(s));
-  if (csv) {
-    for (std::size_t c = 0; c < headers.size(); ++c) {
-      os << (c == 0 ? "" : ",") << headers[c];
-    }
-    os << "\n";
-    for (const std::int64_t step : steps) {
-      os << step;
-      for (std::size_t i = 0; i < series.size(); ++i) {
-        const auto it = cells[i].find(step);
-        os << ",";
-        if (it != cells[i].end()) os << obs::format_number(it->second);
-      }
-      os << "\n";
-    }
-    return;
-  }
-  util::Table table(headers);
-  for (const std::int64_t step : steps) {
-    std::vector<std::string> row;
-    row.push_back(std::to_string(step));
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const auto it = cells[i].find(step);
-      row.push_back(it != cells[i].end() ? obs::format_number(it->second)
-                                         : std::string());
-    }
-    table.add_row(row);
-  }
-  table.print(os);
-}
-
-/// JSON rendering: the full point lists as [step, value] pairs — the
-/// wall-clock field is deliberately absent (the determinism contract).
-void render_curves_json(std::ostream& os, const obs::SeriesDoc& doc) {
-  os << "{\n  \"series\": [";
-  for (std::size_t i = 0; i < doc.series.size(); ++i) {
-    const obs::Series& s = doc.series[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << s.name << "\"";
-    if (!s.source.empty()) os << ", \"source\": \"" << s.source << "\"";
-    os << ", \"points\": [";
-    for (std::size_t k = 0; k < s.points.size(); ++k) {
-      os << (k == 0 ? "" : ", ") << "[" << s.points[k].step << ", "
-         << obs::format_number(s.points[k].value) << "]";
-    }
-    os << "]}";
-  }
-  os << "\n  ]\n}\n";
-}
-
 /// The store-meta curves of one trained entry, as 1-based-epoch series.
 /// NaN entries (epochs the eval cadence skipped) are dropped, matching
 /// the trainer's sparse train.eval_bsld recording.
@@ -1735,8 +1664,7 @@ int curves_compare(const std::string& compare_text) {
     const auto fb = in_b.find(key);
     const obs::Series* sa = fa == in_a.end() ? nullptr : fa->second;
     const obs::Series* sb = fb == in_b.end() ? nullptr : fb->second;
-    const std::string label =
-        key.second.empty() ? key.first : key.second + "/" + key.first;
+    const std::string label = obs::series_label(sa != nullptr ? *sa : *sb);
     const bool has_a = sa != nullptr && !sa->points.empty();
     const bool has_b = sb != nullptr && !sb->points.empty();
     table.add_row(
@@ -1788,9 +1716,9 @@ int curves(int argc, char** argv) {
 
   std::ostringstream rendered;
   if (args.format == "json") {
-    render_curves_json(rendered, doc);
+    obs::render_curves_json(rendered, doc);
   } else {
-    render_curves_aligned(rendered, doc.series, args.format == "csv");
+    obs::render_curves_aligned(rendered, doc.series, args.format == "csv");
   }
   std::size_t points = 0;
   for (const obs::Series& s : doc.series) points += s.points.size();
